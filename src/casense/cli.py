@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -15,29 +16,55 @@ import numpy as np
 from .channel import Target, sigma_for_snr
 from .config import CaConfig, Scheme, load_config, make_table3_config, with_scheme
 from .crlb import crlb_sweep
-from .estimators import SolverOptions, estimate_any_scheme
-from .grids import dump_grid_csv
+from .errors import InvalidSnrGrid
+from .estimators import (
+    SolverOptions,
+    estimate_any_scheme,
+    estimate_range_staggered,
+    estimate_velocity_staggered,
+)
+from .grids import CSV_FLOAT_FMT, dump_grid_csv
 from .harness import (
     ExperimentSpec,
-    _FLOAT_FMT,
     compare_pilots,
     run_sweep,
-    snapshot_spectra,
     simulate_trial_matrices,
+    spectrum_rows,
     write_spectrum_csv,
     write_sweep_csv,
 )
 
+MAX_SNR_POINTS = 1000
+_SNR_HELP = f'"start:step:stop" (inclusive) or a comma list, at most {MAX_SNR_POINTS} finite points'
+
 
 def _parse_snr(text: str) -> list[float]:
-    """Accept "start:step:stop" (inclusive) or a comma list."""
-    if ":" in text:
-        start, step, stop = (float(t) for t in text.split(":"))
+    """Accept "start:step:stop" (inclusive) or a comma list.
+
+    Raises InvalidSnrGrid for a field that is not a finite number, a
+    non-positive step, an empty grid, or more than MAX_SNR_POINTS points.
+    """
+    ranged = ":" in text
+    try:
+        fields = [float(t) for t in text.split(":" if ranged else ",") if t.strip()]
+    except ValueError as exc:
+        raise InvalidSnrGrid(f"snr {text!r}: {exc}") from None
+    if not all(math.isfinite(f) for f in fields):
+        raise InvalidSnrGrid(f"snr {text!r}: every value must be finite")
+    if ranged:
+        if len(fields) != 3:
+            raise InvalidSnrGrid(f"snr {text!r}: expected start:step:stop")
+        start, step, stop = fields
         if step <= 0:
-            raise ValueError("snr step must be positive")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 0))]
-    return [float(t) for t in text.split(",") if t.strip()]
+            raise InvalidSnrGrid("snr step must be positive")
+        count = np.floor((stop - start) / step + 1e-9) + 1
+    else:
+        count = len(fields)
+    if count > MAX_SNR_POINTS:
+        raise InvalidSnrGrid(f"snr {text!r}: more than {MAX_SNR_POINTS} points")
+    if count < 1:
+        raise InvalidSnrGrid(f"snr {text!r}: no points")
+    return [start + i * step for i in range(int(count))] if ranged else fields
 
 
 def _load_cfg(args) -> CaConfig:
@@ -84,7 +111,7 @@ def main(argv=None) -> int:
 
     p_crlb = sub.add_parser("crlb", help="closed-form and oracle bounds over an SNR grid")
     _add_common(p_crlb)
-    p_crlb.add_argument("--snr", default="-30:5:10", help='grid: "start:step:stop" or comma list')
+    p_crlb.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
     p_crlb.add_argument(
         "--delta-f", dest="delta_f", default=None,
         help="optional comma list of high-band spacings (Hz) to sweep",
@@ -92,12 +119,12 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo RMSE over an SNR grid")
     _add_common(p_sweep, with_target=True, with_solver=True)
-    p_sweep.add_argument("--snr", default="-30:5:10")
+    p_sweep.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
     p_sweep.add_argument("--trials", type=int, default=100)
 
     p_cmp = sub.add_parser("compare-pilots", help="all four pilot structures on one grid")
     _add_common(p_cmp, with_target=True, with_solver=True)
-    p_cmp.add_argument("--snr", default="-30:5:10")
+    p_cmp.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
     p_cmp.add_argument("--trials", type=int, default=100)
 
     args = parser.parse_args(argv)
@@ -118,14 +145,18 @@ def main(argv=None) -> int:
         snr = _parse_snr(args.snr)[0]
         target = Target(args.range_m, args.velocity, args.gain)
         solver = _solver(args)
-        if cfg.scheme is Scheme.CA1:
-            r_rows, v_rows = snapshot_spectra(cfg, target, snr, args.seed, solver)
-            write_spectrum_csv(r_rows, f"{args.out}_range.csv", "range_m")
-            write_spectrum_csv(v_rows, f"{args.out}_velocity.csv", "velocity_mps")
         d_low, d_high = simulate_trial_matrices(
             cfg, target, sigma_for_snr(snr, target.gain), (args.seed, 0, 0, 0)
         )
-        r_hat, v_hat = estimate_any_scheme(d_low, d_high, cfg, solver)
+        if cfg.scheme is Scheme.CA1:
+            # the fused spectra and the printed line come from the same two estimates
+            r_est = estimate_range_staggered(d_low, d_high, cfg, solver)
+            v_est = estimate_velocity_staggered(d_low, d_high, cfg, solver)
+            write_spectrum_csv(spectrum_rows(r_est), f"{args.out}_range.csv", "range_m")
+            write_spectrum_csv(spectrum_rows(v_est), f"{args.out}_velocity.csv", "velocity_mps")
+            r_hat, v_hat = r_est.value, v_est.value
+        else:
+            r_hat, v_hat = estimate_any_scheme(d_low, d_high, cfg, solver)
         print(f"scheme {cfg.scheme.value}: range {r_hat:.6f} m, velocity {v_hat:.6f} m/s")
         return 0
 
@@ -144,12 +175,12 @@ def main(argv=None) -> int:
                     writer.writerow(
                         [
                             cfg.scheme.value,
-                            _FLOAT_FMT % row.snr_db,
-                            _FLOAT_FMT % row.delta_f,
-                            _FLOAT_FMT % row.crlb_range,
-                            _FLOAT_FMT % row.crlb_velocity,
-                            _FLOAT_FMT % row.rcrlb_range,
-                            _FLOAT_FMT % row.rcrlb_velocity,
+                            CSV_FLOAT_FMT % row.snr_db,
+                            CSV_FLOAT_FMT % row.delta_f,
+                            CSV_FLOAT_FMT % row.crlb_range,
+                            CSV_FLOAT_FMT % row.crlb_velocity,
+                            CSV_FLOAT_FMT % row.rcrlb_range,
+                            CSV_FLOAT_FMT % row.rcrlb_velocity,
                             method,
                         ]
                     )

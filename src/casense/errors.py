@@ -41,5 +41,9 @@ class UnsupportedScheme(CasenseError):
     """Closed-form CRLB preconditions not met for this configuration."""
 
 
+class InvalidSnrGrid(CasenseError, ValueError):
+    """SNR grid text is malformed, non-finite, empty, or longer than the cap."""
+
+
 class VelocityAmbiguityWarning(UserWarning):
     """Target velocity exceeds the unambiguous Doppler span of a band."""

@@ -16,6 +16,8 @@ from .config import BandConfig, Block, Comb
 
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)  # unit-modulus corners
 
+CSV_FLOAT_FMT = "%.16e"  # every float in a casense CSV: 17 significant digits, round-trips
+
 
 @dataclass(frozen=True)
 class TxGrid:
@@ -75,6 +77,7 @@ def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
         n_rows, n_cols = values.shape
         for n in range(n_rows):
             for m in range(n_cols):
+                v = values[n, m]
                 writer.writerow(
-                    [n, m, repr(values[n, m].real), repr(values[n, m].imag), int(mask[n, m])]
+                    [n, m, CSV_FLOAT_FMT % v.real, CSV_FLOAT_FMT % v.imag, int(mask[n, m])]
                 )

@@ -18,6 +18,7 @@ from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simu
 from .config import CaConfig, Scheme, with_scheme
 from .crlb import crlb_oracle, CrlbInputs, sigma_from_snr
 from .estimators import (
+    Estimate,
     SolverOptions,
     estimate_any_scheme,
     estimate_band_range,
@@ -25,7 +26,7 @@ from .estimators import (
     estimate_range_staggered,
     estimate_velocity_staggered,
 )
-from .grids import generate_tx_grid
+from .grids import CSV_FLOAT_FMT, generate_tx_grid
 
 
 @dataclass(frozen=True)
@@ -234,18 +235,16 @@ def snapshot_spectra(
     d_low, d_high = simulate_trial_matrices(cfg, target, noise_sigma, (seed, 0, 0, 0))
     r_est = estimate_range_staggered(d_low, d_high, cfg, solver)
     v_est = estimate_velocity_staggered(d_low, d_high, cfg, solver)
-    out = []
-    for est in (r_est, v_est):
-        spec = est.spectrum
-        rows = [
-            (b, b * spec.bin_width, float(spec.values[b]), int(b == est.peak_bin))
-            for b in range(len(spec.values))
-        ]
-        out.append(rows)
-    return out[0], out[1]
+    return spectrum_rows(r_est), spectrum_rows(v_est)
 
 
-_FLOAT_FMT = "%.16e"  # 17 significant digits
+def spectrum_rows(est: Estimate) -> list[tuple]:
+    """Rows (bin, physical, power, is_peak) of an estimate's normalized spectrum."""
+    spec = est.spectrum
+    return [
+        (b, b * spec.bin_width, float(spec.values[b]), int(b == est.peak_bin))
+        for b in range(len(spec.values))
+    ]
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -266,11 +265,11 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             writer.writerow(
                 [
                     r.scheme,
-                    _FLOAT_FMT % r.snr_db,
-                    _FLOAT_FMT % r.rmse_range,
-                    _FLOAT_FMT % r.rmse_velocity,
-                    _FLOAT_FMT % r.rcrlb_range,
-                    _FLOAT_FMT % r.rcrlb_velocity,
+                    CSV_FLOAT_FMT % r.snr_db,
+                    CSV_FLOAT_FMT % r.rmse_range,
+                    CSV_FLOAT_FMT % r.rmse_velocity,
+                    CSV_FLOAT_FMT % r.rcrlb_range,
+                    CSV_FLOAT_FMT % r.rcrlb_velocity,
                     r.trials,
                 ]
             )
@@ -281,4 +280,4 @@ def write_spectrum_csv(rows: list[tuple], path, physical_label: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["bin", physical_label, "power", "is_peak"])
         for b, phys, power, flag in rows:
-            writer.writerow([b, _FLOAT_FMT % phys, _FLOAT_FMT % power, flag])
+            writer.writerow([b, CSV_FLOAT_FMT % phys, CSV_FLOAT_FMT % power, flag])

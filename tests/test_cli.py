@@ -1,9 +1,18 @@
 import csv
+import sys
 
+import numpy as np
 import pytest
 
-from casense.cli import _parse_snr, main
+import casense.estimators
+import casense.harness
+from casense.channel import Target, sigma_for_snr
+from casense.cli import MAX_SNR_POINTS, _parse_snr, main
 from casense.config import make_table3_config, save_config
+from casense.errors import CasenseError, InvalidSnrGrid
+from casense.estimators import estimate_any_scheme
+from casense.harness import simulate_trial_matrices
+from casense.recovery import FORWARD, INVERSE
 
 
 def read_csv(path):
@@ -16,6 +25,38 @@ def test_parse_snr_forms():
     assert _parse_snr("0,3,7.5") == [0.0, 3.0, 7.5]
     with pytest.raises(ValueError):
         _parse_snr("0:-1:10")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nan:1:10",
+        "0:nan:10",
+        "0:1:inf",
+        "-inf:1:0",
+        "0,nan,3",
+        "inf",
+        "0:1e-3:10",  # 10001 points
+        ",".join(["0"] * (MAX_SNR_POINTS + 1)),
+        "0:1",
+        "10:1:0",
+        "abc",
+    ],
+)
+def test_parse_snr_rejects_bad_grids(text):
+    with pytest.raises(InvalidSnrGrid):
+        _parse_snr(text)
+
+
+def test_parse_snr_cap_is_inclusive():
+    assert len(_parse_snr(f"1:1:{MAX_SNR_POINTS}")) == MAX_SNR_POINTS
+    assert len(_parse_snr(",".join(["0"] * MAX_SNR_POINTS))) == MAX_SNR_POINTS
+
+
+def test_bad_snr_grid_reaches_user_as_casense_error(tmp_path):
+    with pytest.raises(CasenseError) as info:
+        main(["crlb", "--out", str(tmp_path / "c.csv"), "--snr", "nan:1:10"])
+    assert isinstance(info.value, ValueError)
 
 
 def test_estimate_subcommand(tmp_path, capsys):
@@ -46,9 +87,19 @@ def test_simulate_subcommand(tmp_path):
     out = tmp_path / "chan"
     rc = main(["simulate", "--out", str(out), "--snr", "5", "--seed", "1"])
     assert rc == 0
-    rows = read_csv(f"{out}_high.csv")
-    assert rows[0] == ["n", "m", "re", "im", "mask"]
-    assert len(rows) == 1 + 512 * 64
+    target = Target(117.0, 30.0)
+    mats = simulate_trial_matrices(
+        make_table3_config(), target, sigma_for_snr(5.0, target.gain), (1, 0, 0, 0)
+    )
+    for kind, mat in zip(("low", "high"), mats):
+        rows = read_csv(f"{out}_{kind}.csv")
+        assert rows[0] == ["n", "m", "re", "im", "mask"]
+        assert len(rows) == 1 + 512 * 64
+        cells = np.array([[float(r[2]), float(r[3])] for r in rows[1:]])  # plain floats
+        values = (cells[:, 0] + 1j * cells[:, 1]).reshape(512, 64)
+        assert values.view(np.int64).tobytes() == mat.values.view(np.int64).tobytes()
+        mask = np.array([int(r[4]) for r in rows[1:]], dtype=bool).reshape(512, 64)
+        assert np.array_equal(mask, mat.mask)
 
 
 def test_crlb_subcommand(tmp_path):
@@ -105,3 +156,52 @@ def test_config_file_and_scheme_flag(tmp_path):
     assert rc == 0
     rows = read_csv(out)
     assert rows[1][0] == "CA4"
+
+
+def patch_counter(monkeypatch, module, name, record):
+    """Replace module.name, at every casense module attribute holding it,
+    by a wrapper that appends its positional arguments to record."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        record.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("casense") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize("snr", ["10", "-20"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ca1_estimate_simulates_and_solves_once(tmp_path, capsys, monkeypatch, seed, snr):
+    target = Target(117.0, 30.0)
+    cfg = make_table3_config()
+    mats = simulate_trial_matrices(cfg, target, sigma_for_snr(float(snr), target.gain), (seed, 0, 0, 0))
+    r_hat, v_hat = estimate_any_scheme(*mats, cfg)
+    expected = f"scheme CA1: range {r_hat:.6f} m, velocity {v_hat:.6f} m/s\n"
+
+    sims, solves = [], []
+    patch_counter(monkeypatch, casense.harness, "simulate_trial_matrices", sims)
+    patch_counter(monkeypatch, casense.estimators, "fista_iterations", solves)
+    rc = main(["estimate", "--out", str(tmp_path / "shot"), f"--snr={snr}", "--seed", str(seed)])
+    assert rc == 0
+    assert len(sims) == 1
+    assert sorted(args[0].direction for args in solves) == sorted([FORWARD, INVERSE])
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "seed, line",
+    [
+        (0, "scheme CA3: range 1151.123047 m, velocity 121.270266 m/s"),
+        (3, "scheme CA3: range 441.894531 m, velocity 60.635133 m/s"),
+    ],
+)
+def test_ca3_estimate_prints_recorded_line(tmp_path, capsys, seed, line):
+    # lines recorded before the CA1 path was folded into one solve
+    rc = main(
+        ["estimate", "--scheme", "CA3", "--out", str(tmp_path / "shot"), "--snr=-30", "--seed", str(seed)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == line + "\n"

@@ -17,6 +17,7 @@ from casense.estimators import (
     top_k_peaks,
 )
 from casense.grids import generate_tx_grid
+from casense.harness import simulate_trial_matrices
 
 C0 = 3e8
 
@@ -227,3 +228,27 @@ def test_top_k_peaks_exhausts_gracefully():
     assert len(peaks) <= 3  # exclusion zones cover the spectrum quickly
     with pytest.raises(ValueError):
         top_k_peaks(spec, 0)
+
+
+# Fused peak bins with default SolverOptions in the threshold region, seed
+# parts (seed, 0, 0, 0), recorded before the FISTA kernel was rewritten to
+# one masked FFT pair per iteration. Off-truth bins (truth is 48 / 3) are the
+# ones a solver change is most likely to flip.
+THRESHOLD_BINS = [
+    (-26.0, 1, 49, 51),
+    (-26.0, 3, 10, 19),
+    (-26.0, 5, 204, 53),
+    (-20.0, 0, 48, 3),
+    (-20.0, 1, 47, 3),
+    (-15.0, 0, 48, 3),
+]
+
+
+@pytest.mark.parametrize("snr_db, seed, range_bin, velocity_bin", THRESHOLD_BINS)
+def test_threshold_region_peak_bins_pinned(table3, snr_db, seed, range_bin, velocity_bin):
+    target = Target(117.0, 30.0)
+    d_low, d_high = simulate_trial_matrices(
+        table3, target, sigma_for_snr(snr_db, target.gain), (seed, 0, 0, 0)
+    )
+    assert estimate_range_staggered(d_low, d_high, table3).peak_bin == range_bin
+    assert estimate_velocity_staggered(d_low, d_high, table3).peak_bin == velocity_bin

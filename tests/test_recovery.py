@@ -10,11 +10,13 @@ from casense.recovery import (
     SensingOperator,
     certify_kkt,
     default_lambda,
+    fista_iterations,
     objective_value,
     operator_norm_sq,
     solve_fista,
     solve_ista,
     solve_omp,
+    soft_threshold,
 )
 
 
@@ -269,3 +271,58 @@ def test_objective_value_matches_direct_computation():
     lam = 0.3
     direct = 0.5 * np.linalg.norm(d - op.apply(x)) ** 2 + lam * np.abs(x).sum()
     assert objective_value(op, d, lam, x) == pytest.approx(direct, rel=1e-12)
+
+
+def gather_scatter_fista(op, d, lam, step, max_iters, tol, momentum=True):
+    """Reference iteration: gradient A*(A y - d) through apply/adjoint, i.e. a
+    row gather, a zero fill and a scatter per step, and fresh arrays."""
+    x = np.zeros((op.n,) + d.shape[1:], dtype=complex)
+    y = x.copy()
+    t = 1.0
+    thresh = np.asarray(lam) * step
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        grad = op.adjoint(op.apply(y) - d)
+        x_next = soft_threshold(y - step * grad, thresh)
+        if momentum:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t = t_next
+        else:
+            y = x_next
+        rel = np.linalg.norm(x_next - x) / max(np.linalg.norm(x_next), 1e-300)
+        x = x_next
+        if rel < tol:
+            break
+    return x, iterations
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("step", ["one", "inverse_norm", "short"])
+@pytest.mark.parametrize("batch", [None, 5])
+@pytest.mark.parametrize("mask_kind", ["leading", "periodic"])
+@pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+def test_fista_kernel_matches_gather_scatter_reference(direction, mask_kind, batch, step, momentum):
+    n = 64
+    mask = build_range_selection(16, n) if mask_kind == "leading" else build_velocity_selection(4, n)
+    op = SensingOperator(n=n, direction=direction, row_mask=mask)
+    step = {"one": 1.0, "inverse_norm": 1.0 / operator_norm_sq(op), "short": 0.6}[step]
+    rng = np.random.default_rng(11)
+    cols = 1 if batch is None else batch
+    x_true = np.zeros((n, cols), complex)
+    for c in range(cols):
+        x_true[rng.choice(n // 4, 2, replace=False), c] = rng.standard_normal(2) + 1j
+    noise = rng.standard_normal((op.n_measurements, cols)) + 1j * rng.standard_normal(
+        (op.n_measurements, cols)
+    )
+    d = op.apply(x_true) + 0.05 * noise
+    lam = 0.1 * np.abs(op.adjoint(d)).max(axis=0)
+    if batch is None:
+        d, lam = d[:, 0], float(lam[0])
+    # tol 1e-6 stops several of these instances early; tol 0 runs to max_iters
+    for max_iters, tol in ((400, 1e-6), (60, 0.0)):
+        x_ref, it_ref = gather_scatter_fista(op, d, lam, step, max_iters, tol, momentum)
+        x, it = fista_iterations(op, d, lam, step, max_iters, tol, momentum)
+        assert x.shape == x_ref.shape
+        assert it == it_ref
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
