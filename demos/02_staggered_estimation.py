@@ -12,8 +12,7 @@ import numpy as np
 
 from casense import (
     Target,
-    estimate_range_staggered,
-    estimate_velocity_staggered,
+    estimate_any_scheme,
     make_table3_config,
     sigma_for_snr,
     top_k_peaks,
@@ -28,8 +27,7 @@ d_low, d_high = simulate_trial_matrices(
     cfg, target, sigma_for_snr(snr_db, target.gain), (2024, 0, 0, 0)
 )
 
-r_est = estimate_range_staggered(d_low, d_high, cfg)
-v_est = estimate_velocity_staggered(d_low, d_high, cfg)
+r_est, v_est = estimate_any_scheme(d_low, d_high, cfg)
 
 print(f"range bin width    : {cfg.range_bin_width:.8f} m")
 print(f"velocity bin width : {cfg.velocity_bin_width:.6f} m/s")

@@ -45,9 +45,6 @@ from .estimators import (
     estimate_any_scheme,
     estimate_band_range,
     estimate_band_velocity,
-    estimate_range_staggered,
-    estimate_scheme,
-    estimate_velocity_staggered,
     top_k_peaks,
 )
 from .fusion import (
@@ -73,7 +70,6 @@ from .recovery import (
     SensingOperator,
     certify_kkt,
     default_lambda,
-    operator_norm_sq,
     solve_fista,
     solve_ista,
     solve_omp,

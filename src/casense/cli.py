@@ -16,13 +16,8 @@ import numpy as np
 from .channel import Target, sigma_for_snr
 from .config import CaConfig, Scheme, load_config, make_table3_config, with_scheme
 from .crlb import crlb_sweep
-from .errors import InvalidSnrGrid
-from .estimators import (
-    SolverOptions,
-    estimate_any_scheme,
-    estimate_range_staggered,
-    estimate_velocity_staggered,
-)
+from .errors import CasenseError, InvalidSnrGrid
+from .estimators import SolverOptions, estimate_any_scheme
 from .grids import CSV_FLOAT_FMT, dump_grid_csv
 from .harness import (
     ExperimentSpec,
@@ -128,6 +123,14 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--trials", type=int, default=100)
 
     args = parser.parse_args(argv)
+    try:
+        _run(args)
+    except CasenseError as exc:
+        parser.error(str(exc))  # exit status 2, no traceback
+    return 0
+
+
+def _run(args) -> None:
     cfg = _load_cfg(args)
 
     if args.command == "simulate":
@@ -139,26 +142,20 @@ def main(argv=None) -> int:
         dump_grid_csv(d_low.values, d_low.mask, f"{args.out}_low.csv")
         dump_grid_csv(d_high.values, d_high.mask, f"{args.out}_high.csv")
         print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
-        return 0
+        return
 
     if args.command == "estimate":
         snr = _parse_snr(args.snr)[0]
         target = Target(args.range_m, args.velocity, args.gain)
-        solver = _solver(args)
         d_low, d_high = simulate_trial_matrices(
             cfg, target, sigma_for_snr(snr, target.gain), (args.seed, 0, 0, 0)
         )
-        if cfg.scheme is Scheme.CA1:
-            # the fused spectra and the printed line come from the same two estimates
-            r_est = estimate_range_staggered(d_low, d_high, cfg, solver)
-            v_est = estimate_velocity_staggered(d_low, d_high, cfg, solver)
+        r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, _solver(args))
+        if cfg.scheme is Scheme.CA1:  # only the fused scheme has one spectrum per quantity
             write_spectrum_csv(spectrum_rows(r_est), f"{args.out}_range.csv", "range_m")
             write_spectrum_csv(spectrum_rows(v_est), f"{args.out}_velocity.csv", "velocity_mps")
-            r_hat, v_hat = r_est.value, v_est.value
-        else:
-            r_hat, v_hat = estimate_any_scheme(d_low, d_high, cfg, solver)
-        print(f"scheme {cfg.scheme.value}: range {r_hat:.6f} m, velocity {v_hat:.6f} m/s")
-        return 0
+        print(f"scheme {cfg.scheme.value}: range {r_est.value:.6f} m, velocity {v_est.value:.6f} m/s")
+        return
 
     if args.command == "crlb":
         snr_grid = _parse_snr(args.snr)
@@ -185,7 +182,7 @@ def main(argv=None) -> int:
                         ]
                     )
         print(f"wrote {args.out}")
-        return 0
+        return
 
     if args.command == "sweep":
         spec = ExperimentSpec(
@@ -199,7 +196,7 @@ def main(argv=None) -> int:
         )
         write_sweep_csv(run_sweep(spec), args.out)
         print(f"wrote {args.out}")
-        return 0
+        return
 
     if args.command == "compare-pilots":
         result = compare_pilots(
@@ -212,10 +209,6 @@ def main(argv=None) -> int:
         )
         write_sweep_csv(result, args.out)
         print(f"wrote {args.out}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

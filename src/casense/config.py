@@ -115,19 +115,20 @@ class BandConfig:
         """Total OFDM symbol duration T = 1/delta_f + t_cp (s)."""
         return 1.0 / self.delta_f + self.t_cp
 
-    @property
-    def n_pilot_subcarriers(self) -> int:
-        """N' = N/K for a comb band, N otherwise."""
-        if isinstance(self.pilot, Comb):
-            return self.n_subcarriers // self.pilot.interval
-        return self.n_subcarriers
 
-    @property
-    def n_pilot_symbols(self) -> int:
-        """M' = M/Q for a block band, M otherwise."""
-        if isinstance(self.pilot, Block):
-            return self.n_symbols // self.pilot.interval
-        return self.n_symbols
+def range_bin_width(c0: float, delta_f: float, n_subcarriers: int) -> float:
+    """Meters per bin of an N-point range spectrum: c0 / (2 delta_f N).
+
+    delta_f is the effective spacing of the spectrum's grid: the band's own
+    for a block band, K * delta_f for a comb band, whose CS spectrum lives on
+    the rearranged grid.
+    """
+    return c0 / (2.0 * delta_f * n_subcarriers)
+
+
+def velocity_bin_width(c0: float, band: BandConfig) -> float:
+    """m/s per bin of the band's M-point velocity spectrum: c0 / (2 fc T M)."""
+    return c0 / (2.0 * band.fc * band.symbol_duration * band.n_symbols)
 
 
 @dataclass(frozen=True)
@@ -148,14 +149,12 @@ class CaConfig:
     @property
     def range_bin_width(self) -> float:
         """Fused range bin width c0 / (2 * delta_f_high * N) in meters."""
-        return self.c0 / (2.0 * self.high.delta_f * self.high.n_subcarriers)
+        return range_bin_width(self.c0, self.high.delta_f, self.high.n_subcarriers)
 
     @property
     def velocity_bin_width(self) -> float:
         """Fused velocity bin width c0 / (2 * fc_high * T_high * M) in m/s."""
-        return self.c0 / (
-            2.0 * self.high.fc * self.high.symbol_duration * self.high.n_symbols
-        )
+        return velocity_bin_width(self.c0, self.high)
 
 
 def validate(cfg: CaConfig) -> CaConfig:

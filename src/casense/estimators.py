@@ -1,7 +1,8 @@
-"""Range and velocity estimation from one or two channel information matrices.
+"""Range and velocity estimation from the two bands' channel information matrices.
 
-Staggered-scheme fusion accumulates magnitude spectra from both bands on a
-shared bin grid before the single peak search:
+``estimate_any_scheme`` is the one scheme dispatch. The staggered scheme CA1
+fuses the two bands' magnitude spectra on a shared bin grid before a single
+peak search:
 
 * range: per-column IDFTs of the block high band plus per-column CS
   recoveries of the rearranged comb low band (leading-rows mask, effective
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelInfoMatrix
-from .config import Block, CaConfig, Comb, Scheme
-from .errors import SchemeMismatch, VelocityFusionConstraintViolated
+from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
+from .errors import SchemeMismatch
 from .fusion import build_range_selection, build_velocity_selection, rearrange_low_band
 from .recovery import FORWARD, INVERSE, SensingOperator, fista_iterations
 
@@ -44,13 +45,12 @@ class PowerSpectrum:
 
     values: np.ndarray  # real, (N,) or (M,)
     bin_width: float  # meters per bin, or m/s per bin
-    normalized: bool = False
 
     def normalize(self) -> "PowerSpectrum":
         peak = float(self.values.max())
         if peak <= 0:
-            return PowerSpectrum(self.values.copy(), self.bin_width, True)
-        return PowerSpectrum(self.values / peak, self.bin_width, True)
+            return PowerSpectrum(self.values.copy(), self.bin_width)
+        return PowerSpectrum(self.values / peak, self.bin_width)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _cs_magnitude_sum(op: SensingOperator, columns: np.ndarray, opts: SolverOpti
         return np.zeros(op.n)
     g0 = np.abs(op.adjoint(columns))
     lam = opts.lambda_scale * g0.max(axis=0)
-    x, _ = fista_iterations(op, columns, lam, 1.0, opts.max_iters, opts.tol, momentum=True)
+    x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol, momentum=True)
     return np.abs(x).sum(axis=1)
 
 
@@ -122,7 +122,7 @@ def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     cols = d.values[:, :: d.band.pilot.interval]
     n = d.band.n_subcarriers
     acc = np.abs(np.fft.ifft(cols, axis=0) * np.sqrt(n)).sum(axis=1)
-    return PowerSpectrum(acc, c0 / (2.0 * d.band.delta_f * n))
+    return PowerSpectrum(acc, range_bin_width(c0, d.band.delta_f, n))
 
 
 def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions) -> PowerSpectrum:
@@ -141,7 +141,7 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
     mask = build_range_selection(rearranged.valid_rows, n)
     op = SensingOperator(n=n, direction=FORWARD, row_mask=mask)
     acc = _cs_magnitude_sum(op, rearranged.values[mask, :], opts)
-    return PowerSpectrum(acc, c0 / (2.0 * k * d.band.delta_f * n))
+    return PowerSpectrum(acc, range_bin_width(c0, k * d.band.delta_f, n))
 
 
 def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
@@ -151,7 +151,7 @@ def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     rows = d.values[:: d.band.pilot.interval, :]
     m = d.band.n_symbols
     acc = np.abs(np.fft.fft(rows, axis=1) / np.sqrt(m)).sum(axis=0)
-    return PowerSpectrum(acc, _velocity_bin_width(d, c0))
+    return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
 
 
 def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions) -> PowerSpectrum:
@@ -162,72 +162,11 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
     mask = build_velocity_selection(d.band.pilot.interval, m)
     op = SensingOperator(n=m, direction=INVERSE, row_mask=mask)
     acc = _cs_magnitude_sum(op, d.values[:, mask].T, opts)
-    return PowerSpectrum(acc, _velocity_bin_width(d, c0))
-
-
-def _velocity_bin_width(d: ChannelInfoMatrix, c0: float) -> float:
-    return c0 / (2.0 * d.band.fc * d.band.symbol_duration * d.band.n_symbols)
-
-
-def _check_bands(d_low: ChannelInfoMatrix, d_high: ChannelInfoMatrix, cfg: CaConfig) -> None:
-    if d_low.band != cfg.low or d_high.band != cfg.high:
-        raise SchemeMismatch("channel matrices do not come from the configured bands")
+    return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
 
 
 # ---------------------------------------------------------------------------
-# staggered scheme (fused spectra)
-# ---------------------------------------------------------------------------
-
-def estimate_range_staggered(
-    d_low: ChannelInfoMatrix,
-    d_high: ChannelInfoMatrix,
-    cfg: CaConfig,
-    opts: SolverOptions = SolverOptions(),
-) -> Estimate:
-    """Fused range estimate for the staggered (low comb, high block) scheme.
-
-    Accumulates |IDFT| over the high band's pilot columns plus |CS-IDFT| over
-    all M rearranged low-band columns, normalizes once, then peak-searches.
-    The shared grid has bins of c0 / (2 delta_f_high N) meters.
-    """
-    if cfg.scheme is not Scheme.CA1:
-        raise SchemeMismatch(f"expected scheme CA1, got {cfg.scheme.value}")
-    _check_bands(d_low, d_high, cfg)
-    hi = range_spectrum_block(d_high, cfg.c0)
-    lo = range_spectrum_comb_cs(d_low, cfg.c0, opts)
-    fused = PowerSpectrum(hi.values + lo.values, hi.bin_width)
-    return peak_estimate(fused, "range")
-
-
-def estimate_velocity_staggered(
-    d_low: ChannelInfoMatrix,
-    d_high: ChannelInfoMatrix,
-    cfg: CaConfig,
-    opts: SolverOptions = SolverOptions(),
-) -> Estimate:
-    """Fused velocity estimate for the staggered scheme.
-
-    Accumulates |FFT| over the low band's pilot rows plus |CS-DFT| over all
-    N high-band rows. Peak bins of the two bands coincide because
-    T_low * fc_low = T_high * fc_high; that constraint is re-checked here.
-    """
-    if cfg.scheme is not Scheme.CA1:
-        raise SchemeMismatch(f"expected scheme CA1, got {cfg.scheme.value}")
-    _check_bands(d_low, d_high, cfg)
-    g_low = cfg.low.symbol_duration * cfg.low.fc
-    g_high = cfg.high.symbol_duration * cfg.high.fc
-    if abs(g_low - g_high) > 1e-12 * max(g_low, g_high):
-        raise VelocityFusionConstraintViolated(
-            f"|T1*fc1 - T2*fc2| = {abs(g_low - g_high):.6e}"
-        )
-    lo = velocity_spectrum_comb(d_low, cfg.c0)
-    hi = velocity_spectrum_block_cs(d_high, cfg.c0, opts)
-    fused = PowerSpectrum(lo.values + hi.values, hi.bin_width)
-    return peak_estimate(fused, "velocity")
-
-
-# ---------------------------------------------------------------------------
-# per-band estimates and the averaging schemes
+# per-band estimates and the scheme dispatch
 # ---------------------------------------------------------------------------
 
 def estimate_band_range(
@@ -254,41 +193,45 @@ def estimate_band_velocity(
     return peak_estimate(spectrum, "velocity", search_bins=window)
 
 
-def estimate_scheme(
-    d_low: ChannelInfoMatrix,
-    d_high: ChannelInfoMatrix,
-    cfg: CaConfig,
-    opts: SolverOptions = SolverOptions(),
-) -> tuple[AveragedEstimate, AveragedEstimate]:
-    """Range and velocity for schemes CA2..CA4: per-band estimates, averaged.
-
-    Block bands use plain IDFT columns for range and CS-DFT rows for
-    velocity; comb bands use CS-IDFT columns for range and plain FFT pilot
-    rows for velocity. Physical values (meters, m/s) are averaged because
-    the two bands' bin widths differ.
-    """
-    if cfg.scheme is Scheme.CA1:
-        raise SchemeMismatch("use estimate_range/velocity_staggered for CA1")
-    _check_bands(d_low, d_high, cfg)
-    r_low = estimate_band_range(d_low, cfg.c0, opts)
-    r_high = estimate_band_range(d_high, cfg.c0, opts)
-    v_low = estimate_band_velocity(d_low, cfg.c0, opts)
-    v_high = estimate_band_velocity(d_high, cfg.c0, opts)
-    rng = AveragedEstimate("range", 0.5 * (r_low.value + r_high.value), (r_low, r_high))
-    vel = AveragedEstimate("velocity", 0.5 * (v_low.value + v_high.value), (v_low, v_high))
-    return rng, vel
-
-
 def estimate_any_scheme(
     d_low: ChannelInfoMatrix,
     d_high: ChannelInfoMatrix,
     cfg: CaConfig,
     opts: SolverOptions = SolverOptions(),
-) -> tuple[float, float]:
-    """(range_m, velocity_mps) under whatever scheme cfg declares."""
+) -> tuple[Estimate, Estimate] | tuple[AveragedEstimate, AveragedEstimate]:
+    """(range, velocity) estimates under the scheme cfg declares.
+
+    CA1 returns two ``Estimate``s from fused spectra. Range accumulates
+    |IDFT| over the high band's pilot columns plus |CS-IDFT| over all M
+    rearranged low-band columns, on the high band's grid of
+    c0 / (2 delta_f_high N) meters per bin. Velocity accumulates |FFT| over
+    the low band's pilot rows plus |CS-DFT| over all N high-band rows; the
+    two bands' peak bins coincide because T_low * fc_low = T_high * fc_high.
+    Each fused spectrum is normalized once, then peak-searched.
+
+    CA2..CA4 return two ``AveragedEstimate``s: per-band estimates with the
+    pattern-appropriate primitive (block bands: plain IDFT columns for range,
+    CS-DFT rows for velocity; comb bands: CS-IDFT columns for range, plain
+    FFT pilot rows for velocity), averaged in physical units because the
+    bands' bin widths differ.
+
+    Raises what ``validate`` raises for an inconsistent cfg, and
+    SchemeMismatch if the matrices do not come from cfg's bands.
+    """
+    validate(cfg)
+    if d_low.band != cfg.low or d_high.band != cfg.high:
+        raise SchemeMismatch("channel matrices do not come from the configured bands")
     if cfg.scheme is Scheme.CA1:
-        r = estimate_range_staggered(d_low, d_high, cfg, opts)
-        v = estimate_velocity_staggered(d_low, d_high, cfg, opts)
-        return r.value, v.value
-    r, v = estimate_scheme(d_low, d_high, cfg, opts)
-    return r.value, v.value
+        r_high = range_spectrum_block(d_high, cfg.c0)
+        r_low = range_spectrum_comb_cs(d_low, cfg.c0, opts)
+        rng = peak_estimate(PowerSpectrum(r_high.values + r_low.values, r_high.bin_width), "range")
+        v_low = velocity_spectrum_comb(d_low, cfg.c0)
+        v_high = velocity_spectrum_block_cs(d_high, cfg.c0, opts)
+        vel = peak_estimate(PowerSpectrum(v_low.values + v_high.values, v_high.bin_width), "velocity")
+        return rng, vel
+    r_low, r_high = (estimate_band_range(d, cfg.c0, opts) for d in (d_low, d_high))
+    v_low, v_high = (estimate_band_velocity(d, cfg.c0, opts) for d in (d_low, d_high))
+    return (
+        AveragedEstimate("range", 0.5 * (r_low.value + r_high.value), (r_low, r_high)),
+        AveragedEstimate("velocity", 0.5 * (v_low.value + v_high.value), (v_low, v_high)),
+    )

@@ -23,8 +23,6 @@ from .estimators import (
     estimate_any_scheme,
     estimate_band_range,
     estimate_band_velocity,
-    estimate_range_staggered,
-    estimate_velocity_staggered,
 )
 from .grids import CSV_FLOAT_FMT, generate_tx_grid
 
@@ -123,9 +121,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                 d_low, d_high = simulate_trial_matrices(
                     cfg, target, noise_sigma, (spec.master_seed, scheme_idx, snr_idx, trial)
                 )
-                r_hat, v_hat = estimate_any_scheme(d_low, d_high, cfg, spec.solver)
-                sq_r += (r_hat - target.range_m) ** 2
-                sq_v += (v_hat - target.velocity_mps) ** 2
+                r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, spec.solver)
+                sq_r += (r_est.value - target.range_m) ** 2
+                sq_v += (v_est.value - target.velocity_mps) ** 2
             wall = time.perf_counter() - t0
             if noise_sigma > 0:
                 rep = crlb_oracle(
@@ -233,8 +231,7 @@ def snapshot_spectra(
         raise ValueError("snapshot_spectra expects the staggered scheme")
     noise_sigma = sigma_for_snr(snr_db, target.gain)
     d_low, d_high = simulate_trial_matrices(cfg, target, noise_sigma, (seed, 0, 0, 0))
-    r_est = estimate_range_staggered(d_low, d_high, cfg, solver)
-    v_est = estimate_velocity_staggered(d_low, d_high, cfg, solver)
+    r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, solver)
     return spectrum_rows(r_est), spectrum_rows(v_est)
 
 

@@ -117,29 +117,6 @@ def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1) -> fl
     return scale * float(np.abs(op.adjoint(np.asarray(d, dtype=complex))).max())
 
 
-def operator_norm_sq(op: SensingOperator, tol: float = 1e-6, seed=0, max_iters: int = 200) -> float:
-    """Largest squared singular value of A by power iteration on A*A.
-
-    For masked rows of a unitary DFT this is exactly 1; the iteration is kept
-    generic so the step size never silently relies on that.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iters):
-        w = op.adjoint(op.apply(v))
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        est = float(norm)  # Rayleigh quotient of A*A at unit v
-        v = w / norm
-        if abs(est - prev) <= tol * max(est, 1e-300):
-            return est
-        prev = est
-    return est
-
-
 def soft_threshold(z: np.ndarray, t) -> np.ndarray:
     """Complex soft threshold: shrink magnitude by t, preserve phase."""
     mag = np.abs(z)
@@ -156,16 +133,17 @@ def fista_iterations(
     op: SensingOperator,
     d: np.ndarray,
     lam,
-    step: float,
     max_iters: int,
     tol: float,
     momentum: bool = True,
 ):
     """Shared FISTA/ISTA core. d may be (p,) or (p, batch); lam scalar or per-column.
 
-    Each iteration takes one proximal gradient step from y,
+    The step is 1/L with L = ||A||^2, and L is exactly 1: A keeps rows of a
+    unitary DFT, so A A* = I. Each iteration takes one proximal gradient
+    step from y,
 
-        x_next = soft_threshold(y - step * (A*A y - A*d), lam * step),
+        x_next = soft_threshold(y - (A*A y - A*d), lam),
 
     where A*d is formed once before the loop and A*A y = F^-1(mask * F(y))
     with F the operator's transform without its unitary scaling (the
@@ -187,7 +165,6 @@ def fista_iterations(
         transform, inverse = np.fft.ifft, np.fft.fft
     dropped_rows = ~op.row_mask
     a_star_d = op.adjoint(d)
-    thresh = np.asarray(lam) * step
     x = np.zeros_like(a_star_d)
     y = np.zeros_like(a_star_d)
     z = np.empty_like(a_star_d)
@@ -197,18 +174,16 @@ def fista_iterations(
     t = 1.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        # z = y - step * (A*A y - A*d)
+        # z = y - (A*A y - A*d)
         transform(y, axis=0, out=z)
         z[dropped_rows] = 0
         inverse(z, axis=0, out=z)
         np.subtract(z, a_star_d, out=z)
-        if step != 1.0:
-            np.multiply(z, step, out=z)
         np.subtract(y, z, out=z)
-        # x_next = soft_threshold(z, thresh), the same operations written into buffers
+        # x_next = soft_threshold(z, lam), the same operations written into buffers
         np.abs(z, out=shrink)
         np.maximum(shrink, 1e-300, out=shrink)
-        np.divide(thresh, shrink, out=shrink)
+        np.divide(lam, shrink, out=shrink)
         np.subtract(1.0, shrink, out=shrink)
         np.maximum(shrink, 0.0, out=shrink)
         np.multiply(z, shrink, out=x_next)
@@ -235,28 +210,22 @@ def _frobenius(a: np.ndarray) -> float:
 def solve_fista(p: LassoProblem) -> RecoveryResult:
     """Accelerated proximal gradient for the lasso.
 
-    Step size 1/L with L from power iteration; momentum
+    Step size 1/L = 1 (see fista_iterations); momentum
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2; stops on relative change < tol.
     Non-convergence is not an error: the result carries the iteration count
     and KKT residual for the caller to judge.
     """
-    L = max(operator_norm_sq(p.operator), 1e-300)
-    x, iters = fista_iterations(
-        p.operator, p.observations, p.lam, 1.0 / L, p.max_iters, p.tol, momentum=True
-    )
-    return RecoveryResult(
-        x_hat=x,
-        iterations=iters,
-        objective=objective_value(p.operator, p.observations, p.lam, x),
-        kkt_residual=certify_kkt(p, x),
-    )
+    return _solve_proximal(p, momentum=True)
 
 
 def solve_ista(p: LassoProblem) -> RecoveryResult:
     """Plain proximal gradient (no momentum); baseline for FISTA."""
-    L = max(operator_norm_sq(p.operator), 1e-300)
+    return _solve_proximal(p, momentum=False)
+
+
+def _solve_proximal(p: LassoProblem, momentum: bool) -> RecoveryResult:
     x, iters = fista_iterations(
-        p.operator, p.observations, p.lam, 1.0 / L, p.max_iters, p.tol, momentum=False
+        p.operator, p.observations, p.lam, p.max_iters, p.tol, momentum=momentum
     )
     return RecoveryResult(
         x_hat=x,

@@ -22,11 +22,7 @@ from casense.crlb import (
     score,
     signal_model,
 )
-from casense.estimators import (
-    SolverOptions,
-    estimate_range_staggered,
-    estimate_velocity_staggered,
-)
+from casense.estimators import SolverOptions, estimate_any_scheme
 from casense.fusion import build_range_selection, build_velocity_selection
 from casense.harness import (
     ExperimentSpec,
@@ -61,8 +57,7 @@ def test_criterion_01_point_estimate_reproduction():
     hits = 0
     for seed in range(100):
         d_low, d_high = simulate_trial_matrices(cfg, target, sigma, (seed, 0, 0, 0))
-        r = estimate_range_staggered(d_low, d_high, cfg)
-        v = estimate_velocity_staggered(d_low, d_high, cfg)
+        r, v = estimate_any_scheme(d_low, d_high, cfg)
         ok = (
             r.peak_bin == 48
             and v.peak_bin == 3

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import casense.estimators
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
-from casense.config import make_table3_config, save_config
-from casense.errors import CasenseError, InvalidSnrGrid
+from casense.config import CaConfig, make_table3_config, save_config
+from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
 from casense.harness import simulate_trial_matrices
 from casense.recovery import FORWARD, INVERSE
@@ -53,10 +55,28 @@ def test_parse_snr_cap_is_inclusive():
     assert len(_parse_snr(",".join(["0"] * MAX_SNR_POINTS))) == MAX_SNR_POINTS
 
 
-def test_bad_snr_grid_reaches_user_as_casense_error(tmp_path):
-    with pytest.raises(CasenseError) as info:
+def test_bad_snr_grid_reaches_user_as_casense_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
         main(["crlb", "--out", str(tmp_path / "c.csv"), "--snr", "nan:1:10"])
-    assert isinstance(info.value, ValueError)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "casense: error: snr 'nan:1:10': every value must be finite"
+
+
+def test_invalid_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = make_table3_config()
+    bad = CaConfig(
+        low=replace(cfg.low, delta_f=30e3), high=replace(cfg.high, delta_f=100e3), scheme=cfg.scheme
+    )  # spacing ratio 10/3
+    save_config(bad, tmp_path / "bad.json")
+    with pytest.raises(SystemExit) as info:
+        main(["crlb", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c.csv")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("casense: error: delta_f ratio 3.33")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_estimate_subcommand(tmp_path, capsys):
@@ -178,8 +198,8 @@ def test_ca1_estimate_simulates_and_solves_once(tmp_path, capsys, monkeypatch, s
     target = Target(117.0, 30.0)
     cfg = make_table3_config()
     mats = simulate_trial_matrices(cfg, target, sigma_for_snr(float(snr), target.gain), (seed, 0, 0, 0))
-    r_hat, v_hat = estimate_any_scheme(*mats, cfg)
-    expected = f"scheme CA1: range {r_hat:.6f} m, velocity {v_hat:.6f} m/s\n"
+    r_est, v_est = estimate_any_scheme(*mats, cfg)
+    expected = f"scheme CA1: range {r_est.value:.6f} m, velocity {v_est.value:.6f} m/s\n"
 
     sims, solves = [], []
     patch_counter(monkeypatch, casense.harness, "simulate_trial_matrices", sims)
@@ -192,16 +212,68 @@ def test_ca1_estimate_simulates_and_solves_once(tmp_path, capsys, monkeypatch, s
 
 
 @pytest.mark.parametrize(
-    "seed, line",
+    "scheme, seed, line",
     [
-        (0, "scheme CA3: range 1151.123047 m, velocity 121.270266 m/s"),
-        (3, "scheme CA3: range 441.894531 m, velocity 60.635133 m/s"),
+        ("CA1", 0, "scheme CA1: range 114.746094 m, velocity 384.022508 m/s"),
+        ("CA1", 3, "scheme CA1: range 24.414062 m, velocity 192.011254 m/s"),
+        ("CA2", 0, "scheme CA2: range 823.364258 m, velocity 171.799543 m/s"),
+        ("CA2", 3, "scheme CA2: range 354.919434 m, velocity 353.704941 m/s"),
+        ("CA3", 0, "scheme CA3: range 1151.123047 m, velocity 121.270266 m/s"),
+        ("CA3", 3, "scheme CA3: range 441.894531 m, velocity 60.635133 m/s"),
+        ("CA4", 0, "scheme CA4: range 158.081055 m, velocity 409.287146 m/s"),
+        ("CA4", 3, "scheme CA4: range 15.563965 m, velocity 515.398629 m/s"),
     ],
 )
-def test_ca3_estimate_prints_recorded_line(tmp_path, capsys, seed, line):
-    # lines recorded before the CA1 path was folded into one solve
+def test_estimate_prints_recorded_line(tmp_path, capsys, scheme, seed, line):
+    # lines recorded before the four schemes shared one estimation path;
+    # at -30 dB they are off the truth bins, so a changed decision shows
     rc = main(
-        ["estimate", "--scheme", "CA3", "--out", str(tmp_path / "shot"), "--snr=-30", "--seed", str(seed)]
+        ["estimate", "--scheme", scheme, "--out", str(tmp_path / "shot"), "--snr=-30", "--seed", str(seed)]
     )
     assert rc == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+# sha256 of each invocation's stdout followed by its output files, recorded
+# before the four schemes shared one estimation path (numpy 2.4, x86-64).
+PINNED_OUTPUTS = [
+    (
+        ["simulate", "--out", "sim", "--snr", "5", "--seed", "1"],
+        ["sim_low.csv", "sim_high.csv"],
+        "9309390bbbcac097389527a3fb34c1569133c04620d1a859f9cb0ad9e91c485b",
+    ),
+    (
+        ["crlb", "--out", "crlb.csv"],
+        ["crlb.csv"],
+        "6485385e436f30d87132526816681ca6d4870a3e5afdaddeb46ab0009723ffe6",
+    ),
+    (
+        ["crlb", "--out", "crlb.csv", "--snr=-10,0", "--delta-f", "60e3,120e3"],
+        ["crlb.csv"],
+        "7a8065f90560ada779d0ce64aae2f1feee3353ca774557a944aa302275fca055",
+    ),
+    (
+        ["sweep", "--out", "sweep.csv", "--snr=-20,10", "--trials", "2"],
+        ["sweep.csv"],
+        "51b61f47cd974e670e61c2ac63fedefe84a48a1c519cf55e69dd6f4612ab3463",
+    ),
+    (
+        ["compare-pilots", "--out", "cmp.csv", "--snr=-20", "--trials", "1"],
+        ["cmp.csv"],
+        "2e884447a9953364ff8ba1b13b6a813f50422a26c45c04323d1ad6415c447a00",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files, digest",
+    PINNED_OUTPUTS,
+    ids=["simulate", "crlb-default", "crlb-delta-f", "sweep", "compare-pilots"],
+)
+def test_cli_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, files, digest):
+    monkeypatch.chdir(tmp_path)  # relative --out paths keep stdout free of tmp_path
+    assert main(argv) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    for name in files:
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest

@@ -11,8 +11,10 @@ from casense.config import (
     Scheme,
     load_config,
     make_table3_config,
+    range_bin_width,
     save_config,
     validate,
+    velocity_bin_width,
     with_high_band_spacing,
     with_scheme,
 )
@@ -57,6 +59,18 @@ def test_table3_bin_widths():
     # c0 / (2 fc2 T2 M); T2*fc2 = 231920 for the 1.33 us CP
     assert cfg.velocity_bin_width == pytest.approx(3e8 / (2 * 231920.0 * 64), rel=1e-12)
     assert cfg.velocity_bin_width == pytest.approx(10.105855, abs=1e-5)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_bin_width_properties_use_the_high_band_grid(scheme):
+    cfg = with_scheme(make_table3_config(), scheme)
+    high = cfg.high
+    assert cfg.range_bin_width == 3e8 / (2.0 * high.delta_f * high.n_subcarriers)
+    assert cfg.velocity_bin_width == 3e8 / (2.0 * high.fc * high.symbol_duration * high.n_symbols)
+    # a comb band's rearranged grid (K * delta_f_low) is the high band's grid in CA1
+    low = make_table3_config().low
+    assert range_bin_width(3e8, cfg.k_ratio * low.delta_f, low.n_subcarriers) == cfg.range_bin_width
+    assert velocity_bin_width(3e8, low) == pytest.approx(cfg.velocity_bin_width, rel=1e-12)
 
 
 def test_spacing_ratio_must_be_integer():

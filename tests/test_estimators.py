@@ -7,11 +7,11 @@ from casense.errors import SchemeMismatch, VelocityFusionConstraintViolated
 from casense.estimators import (
     PowerSpectrum,
     SolverOptions,
+    AveragedEstimate,
+    Estimate,
+    estimate_any_scheme,
     estimate_band_range,
     estimate_band_velocity,
-    estimate_range_staggered,
-    estimate_scheme,
-    estimate_velocity_staggered,
     range_spectrum_block,
     range_spectrum_comb_cs,
     top_k_peaks,
@@ -39,22 +39,22 @@ def channel_pair(cfg, target, snr_db=None, seed=0):
 
 def test_range_staggered_reproduces_reference_point(table3):
     d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=10.0, seed=3)
-    est = estimate_range_staggered(d_low, d_high, table3)
+    est, _ = estimate_any_scheme(d_low, d_high, table3)
+    assert isinstance(est, Estimate)
     assert est.peak_bin == 48
     assert est.value == pytest.approx(117.1875, abs=1e-9)
 
 
 def test_velocity_staggered_reproduces_reference_point(table3):
     d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=10.0, seed=3)
-    est = estimate_velocity_staggered(d_low, d_high, table3)
+    _, est = estimate_any_scheme(d_low, d_high, table3)
     assert est.peak_bin == 3
     assert est.value == pytest.approx(30.3176, abs=1e-3)
 
 
 def test_zero_target_zero_bins(table3):
     d_low, d_high = channel_pair(table3, Target(0.0, 0.0))
-    r = estimate_range_staggered(d_low, d_high, table3)
-    v = estimate_velocity_staggered(d_low, d_high, table3)
+    r, v = estimate_any_scheme(d_low, d_high, table3)
     assert r.peak_bin == 0 and r.value == 0.0
     assert v.peak_bin == 0 and v.value == 0.0
 
@@ -64,15 +64,15 @@ def test_one_bin_targets(table3):
     v_bin = table3.velocity_bin_width
     assert v_bin == pytest.approx(10.106, abs=1e-3)
     d_low, d_high = channel_pair(table3, Target(r_bin, v_bin))
-    assert estimate_range_staggered(d_low, d_high, table3).peak_bin == 1
-    assert estimate_velocity_staggered(d_low, d_high, table3).peak_bin == 1
+    r, v = estimate_any_scheme(d_low, d_high, table3)
+    assert r.peak_bin == 1 and v.peak_bin == 1
 
 
 @pytest.mark.parametrize("bin_r", [2, 17, 100, 200])
 def test_noiseless_on_grid_range_is_bin_exact(table3, bin_r):
     target = Target(bin_r * table3.range_bin_width, 0.0)
     d_low, d_high = channel_pair(table3, target, seed=bin_r)
-    est = estimate_range_staggered(d_low, d_high, table3)
+    est, _ = estimate_any_scheme(d_low, d_high, table3)
     assert est.peak_bin == bin_r
     assert est.value == pytest.approx(target.range_m, rel=1e-12)
 
@@ -81,7 +81,7 @@ def test_noiseless_on_grid_range_is_bin_exact(table3, bin_r):
 def test_noiseless_on_grid_velocity_is_bin_exact(table3, bin_v):
     target = Target(0.0, bin_v * table3.velocity_bin_width)
     d_low, d_high = channel_pair(table3, target, seed=bin_v)
-    est = estimate_velocity_staggered(d_low, d_high, table3)
+    _, est = estimate_any_scheme(d_low, d_high, table3)
     assert est.peak_bin == bin_v
 
 
@@ -91,8 +91,7 @@ def test_noiseless_off_grid_lands_on_nearest_bin(table3):
         r = rng.uniform(5.0, 400.0)
         v = rng.uniform(0.0, 120.0)
         d_low, d_high = channel_pair(table3, Target(r, v), seed=int(r))
-        r_est = estimate_range_staggered(d_low, d_high, table3)
-        v_est = estimate_velocity_staggered(d_low, d_high, table3)
+        r_est, v_est = estimate_any_scheme(d_low, d_high, table3)
         assert abs(r_est.value - r) <= table3.range_bin_width / 2 + 1e-9
         assert abs(v_est.value - v) <= table3.velocity_bin_width / 2 + 1e-9
 
@@ -104,10 +103,9 @@ def test_peak_bin_invariant_under_complex_scaling(table3):
     scale = 3.4e4 * np.exp(1.1j)
     d_low_s = replace(d_low, values=d_low.values * scale)
     d_high_s = replace(d_high, values=d_high.values * scale)
-    r1 = estimate_range_staggered(d_low, d_high, table3)
-    r2 = estimate_range_staggered(d_low_s, d_high_s, table3)
+    r1, _ = estimate_any_scheme(d_low, d_high, table3)
+    r2, _ = estimate_any_scheme(d_low_s, d_high_s, table3)
     assert r1.peak_bin == r2.peak_bin
-    assert r1.spectrum.normalized and r2.spectrum.normalized
     assert r1.spectrum.values.max() == pytest.approx(1.0)
 
 
@@ -125,9 +123,9 @@ def test_scheme_mismatch_errors(table3):
     d_low, d_high = channel_pair(table3, Target(10.0, 0.0))
     cfg2 = with_scheme(table3, Scheme.CA2)
     with pytest.raises(SchemeMismatch):
-        estimate_range_staggered(d_low, d_high, cfg2)
+        estimate_any_scheme(d_low, d_high, cfg2)
     with pytest.raises(SchemeMismatch):
-        estimate_scheme(d_low, d_high, table3)
+        estimate_any_scheme(d_high, d_low, table3)
 
 
 def test_velocity_constraint_rechecked(table3):
@@ -140,7 +138,7 @@ def test_velocity_constraint_rechecked(table3):
     tx_h = generate_tx_grid(table3.high, seed=1)
     d_high = simulate_channel_info(tx_h, TargetScene((Target(10.0, 5.0),), 0.0), c0=C0)
     with pytest.raises(VelocityFusionConstraintViolated):
-        estimate_velocity_staggered(d_low, d_high, bad)
+        estimate_any_scheme(d_low, d_high, bad)
 
 
 def scheme_pair(scheme, target, snr_db=None, seed=0):
@@ -151,7 +149,7 @@ def scheme_pair(scheme, target, snr_db=None, seed=0):
 def test_ca3_noiseless_aligned_bins_average_to_themselves():
     target = Target(117.1875, 0.0)  # on both block bands' grids
     cfg, (d_low, d_high) = scheme_pair(Scheme.CA3, target)
-    r, v = estimate_scheme(d_low, d_high, cfg)
+    r, v = estimate_any_scheme(d_low, d_high, cfg)
     assert r.per_band[0].value == pytest.approx(117.1875, rel=1e-12)
     assert r.per_band[1].value == pytest.approx(117.1875, rel=1e-12)
     assert r.value == pytest.approx(117.1875, rel=1e-12)
@@ -159,14 +157,14 @@ def test_ca3_noiseless_aligned_bins_average_to_themselves():
 
 def test_ca4_zero_target():
     cfg, (d_low, d_high) = scheme_pair(Scheme.CA4, Target(0.0, 0.0))
-    r, v = estimate_scheme(d_low, d_high, cfg)
+    r, v = estimate_any_scheme(d_low, d_high, cfg)
     assert r.value == 0.0 and v.value == 0.0
 
 
 def test_ca2_noiseless_within_band_bin_widths():
     target = Target(117.0, 30.0)
     cfg, (d_low, d_high) = scheme_pair(Scheme.CA2, target)
-    r, v = estimate_scheme(d_low, d_high, cfg)
+    r, v = estimate_any_scheme(d_low, d_high, cfg)
     # low band is block on the 30 kHz grid, high band comb on the rearranged
     # 480 kHz-effective grid
     w_low = C0 / (2 * cfg.low.delta_f * cfg.low.n_subcarriers)
@@ -181,7 +179,8 @@ def test_ca2_noiseless_within_band_bin_widths():
 def test_averaging_schemes_noiseless_quantization_bound(scheme):
     target = Target(117.0, 30.0)
     cfg, (d_low, d_high) = scheme_pair(scheme, target, seed=2)
-    r, v = estimate_scheme(d_low, d_high, cfg)
+    r, v = estimate_any_scheme(d_low, d_high, cfg)
+    assert isinstance(r, AveragedEstimate) and isinstance(v, AveragedEstimate)
     assert abs(r.value - 117.0) <= 5.0  # coarsest grid is 9.77 m wide
     assert abs(v.value - 30.0) <= 5.1
 
@@ -250,5 +249,5 @@ def test_threshold_region_peak_bins_pinned(table3, snr_db, seed, range_bin, velo
     d_low, d_high = simulate_trial_matrices(
         table3, target, sigma_for_snr(snr_db, target.gain), (seed, 0, 0, 0)
     )
-    assert estimate_range_staggered(d_low, d_high, table3).peak_bin == range_bin
-    assert estimate_velocity_staggered(d_low, d_high, table3).peak_bin == velocity_bin
+    r, v = estimate_any_scheme(d_low, d_high, table3)
+    assert (r.peak_bin, v.peak_bin) == (range_bin, velocity_bin)
