@@ -64,19 +64,34 @@ def test_bad_snr_grid_reaches_user_as_casense_error(tmp_path, capsys):
     assert err.splitlines()[-1] == "casense: error: snr 'nan:1:10': every value must be finite"
 
 
-def test_invalid_config_file_is_a_usage_error(tmp_path, capsys):
+SUBCOMMANDS = ["simulate", "estimate", "crlb", "sweep", "compare-pilots"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_reports_bad_snr_as_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path / "o"), "--snr", "nan"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "casense: error: snr 'nan': every value must be finite"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
     cfg = make_table3_config()
     bad = CaConfig(
         low=replace(cfg.low, delta_f=30e3), high=replace(cfg.high, delta_f=100e3), scheme=cfg.scheme
     )  # spacing ratio 10/3
     save_config(bad, tmp_path / "bad.json")
     with pytest.raises(SystemExit) as info:
-        main(["crlb", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c.csv")])
+        main([command, "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("casense: error: delta_f ratio 3.33")
-    assert not (tmp_path / "c.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_estimate_subcommand(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casense.channel import Target, TargetScene, sigma_for_snr, simulate_channel_info
-from casense.config import CaConfig, Scheme, make_table3_config, with_scheme
+from casense.config import CaConfig, Comb, Scheme, make_table3_config, with_scheme
 from casense.errors import SchemeMismatch, VelocityFusionConstraintViolated
 from casense.estimators import (
     PowerSpectrum,
@@ -126,6 +126,38 @@ def test_scheme_mismatch_errors(table3):
         estimate_any_scheme(d_low, d_high, cfg2)
     with pytest.raises(SchemeMismatch):
         estimate_any_scheme(d_high, d_low, table3)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_dispatch_rejects_swapped_bands(scheme):
+    cfg, (d_low, d_high) = scheme_pair(scheme, Target(10.0, 0.0))
+    with pytest.raises(SchemeMismatch):
+        estimate_any_scheme(d_high, d_low, cfg)
+
+
+def _oracle_bin_widths(cfg, band):
+    """(range, velocity) bin widths of the band's own spectra, written out."""
+    df_eff = band.delta_f * (band.pilot.interval if isinstance(band.pilot, Comb) else 1)
+    t_sym = 1.0 / band.delta_f + band.t_cp
+    return (
+        cfg.c0 / (2 * df_eff * band.n_subcarriers),
+        cfg.c0 / (2 * band.fc * t_sym * band.n_symbols),
+    )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_dispatch_values_are_peak_bins_times_bin_width(scheme):
+    cfg, (d_low, d_high) = scheme_pair(scheme, Target(117.0, 30.0), snr_db=10.0, seed=5)
+    r, v = estimate_any_scheme(d_low, d_high, cfg)
+    if scheme is Scheme.CA1:
+        assert isinstance(r, Estimate) and isinstance(v, Estimate)
+        assert r.value == pytest.approx(r.peak_bin * cfg.range_bin_width, rel=1e-12)
+        assert v.value == pytest.approx(v.peak_bin * cfg.velocity_bin_width, rel=1e-12)
+        return
+    for band, r_b, v_b in zip((cfg.low, cfg.high), r.per_band, v.per_band):
+        w_r, w_v = _oracle_bin_widths(cfg, band)
+        assert r_b.value == pytest.approx(r_b.peak_bin * w_r, rel=1e-12)
+        assert v_b.value == pytest.approx(v_b.peak_bin * w_v, rel=1e-12)
 
 
 def test_velocity_constraint_rechecked(table3):
