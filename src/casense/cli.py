@@ -1,13 +1,12 @@
 """Command-line front end.
 
-Subcommands: simulate, estimate, crlb, sweep, compare-pilots. All numeric
-CSV output uses 17 significant digits so repeated runs are byte-identical.
+Subcommands: simulate, estimate, crlb, sweep, compare-pilots. Every CSV is
+written by grids.write_csv, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -18,10 +17,9 @@ from .config import CaConfig, Scheme, load_config, make_table3_config, with_sche
 from .crlb import crlb_sweep
 from .errors import CasenseError, InvalidSnrGrid
 from .estimators import SolverOptions, estimate_any_scheme
-from .grids import CSV_FLOAT_FMT, dump_grid_csv
+from .grids import dump_grid_csv, write_csv
 from .harness import (
     ExperimentSpec,
-    compare_pilots,
     run_sweep,
     simulate_trial_matrices,
     spectrum_rows,
@@ -60,6 +58,23 @@ def _parse_snr(text: str) -> list[float]:
     if count < 1:
         raise InvalidSnrGrid(f"snr {text!r}: no points")
     return [start + i * step for i in range(int(count))] if ranged else fields
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _spacings(text: str) -> list[float]:
+    """Comma list of high-band subcarrier spacings: finite and positive, in Hz."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of positive spacings (Hz)")
+    return values
 
 
 def _load_cfg(args) -> CaConfig:
@@ -108,19 +123,19 @@ def main(argv=None) -> int:
     _add_common(p_crlb)
     p_crlb.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
     p_crlb.add_argument(
-        "--delta-f", dest="delta_f", default=None,
+        "--delta-f", dest="delta_f", type=_spacings, default=None,
         help="optional comma list of high-band spacings (Hz) to sweep",
     )
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo RMSE over an SNR grid")
     _add_common(p_sweep, with_target=True, with_solver=True)
     p_sweep.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
-    p_sweep.add_argument("--trials", type=int, default=100)
+    p_sweep.add_argument("--trials", type=_positive_int, default=100)
 
     p_cmp = sub.add_parser("compare-pilots", help="all four pilot structures on one grid")
     _add_common(p_cmp, with_target=True, with_solver=True)
     p_cmp.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
-    p_cmp.add_argument("--trials", type=int, default=100)
+    p_cmp.add_argument("--trials", type=_positive_int, default=100)
 
     args = parser.parse_args(argv)
     try:
@@ -133,62 +148,28 @@ def main(argv=None) -> int:
 def _run(args) -> None:
     cfg = _load_cfg(args)
 
-    if args.command == "simulate":
-        snr = _parse_snr(args.snr)[0]
-        target = Target(args.range_m, args.velocity, args.gain)
-        d_low, d_high = simulate_trial_matrices(
-            cfg, target, sigma_for_snr(snr, target.gain), (args.seed, 0, 0, 0)
-        )
-        dump_grid_csv(d_low.values, d_low.mask, f"{args.out}_low.csv")
-        dump_grid_csv(d_high.values, d_high.mask, f"{args.out}_high.csv")
-        print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
-        return
-
-    if args.command == "estimate":
-        snr = _parse_snr(args.snr)[0]
-        target = Target(args.range_m, args.velocity, args.gain)
-        d_low, d_high = simulate_trial_matrices(
-            cfg, target, sigma_for_snr(snr, target.gain), (args.seed, 0, 0, 0)
-        )
-        r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, _solver(args))
-        if cfg.scheme is Scheme.CA1:  # only the fused scheme has one spectrum per quantity
-            write_spectrum_csv(spectrum_rows(r_est), f"{args.out}_range.csv", "range_m")
-            write_spectrum_csv(spectrum_rows(v_est), f"{args.out}_velocity.csv", "velocity_mps")
-        print(f"scheme {cfg.scheme.value}: range {r_est.value:.6f} m, velocity {v_est.value:.6f} m/s")
-        return
-
     if args.command == "crlb":
         snr_grid = _parse_snr(args.snr)
-        spacings = (
-            [float(t) for t in args.delta_f.split(",")] if args.delta_f else None
+        rows = [
+            (cfg.scheme.value, r.snr_db, r.delta_f, r.crlb_range, r.crlb_velocity,
+             r.rcrlb_range, r.rcrlb_velocity, method)
+            for method in ("closed-form", "oracle")
+            for r in crlb_sweep(cfg, snr_grid, args.delta_f, method=method)
+        ]
+        write_csv(
+            args.out,
+            ["scheme", "snr_db", "delta_f_hz", "crlb_r", "crlb_v", "rcrlb_r", "rcrlb_v", "method"],
+            rows,
         )
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["scheme", "snr_db", "delta_f_hz", "crlb_r", "crlb_v", "rcrlb_r", "rcrlb_v", "method"]
-            )
-            for method in ("closed-form", "oracle"):
-                for row in crlb_sweep(cfg, snr_grid, spacings, method=method):
-                    writer.writerow(
-                        [
-                            cfg.scheme.value,
-                            CSV_FLOAT_FMT % row.snr_db,
-                            CSV_FLOAT_FMT % row.delta_f,
-                            CSV_FLOAT_FMT % row.crlb_range,
-                            CSV_FLOAT_FMT % row.crlb_velocity,
-                            CSV_FLOAT_FMT % row.rcrlb_range,
-                            CSV_FLOAT_FMT % row.rcrlb_velocity,
-                            method,
-                        ]
-                    )
         print(f"wrote {args.out}")
         return
 
-    if args.command == "sweep":
+    target = Target(args.range_m, args.velocity, args.gain)
+    if args.command in ("sweep", "compare-pilots"):
         spec = ExperimentSpec(
             cfg=cfg,
-            schemes=(cfg.scheme,),
-            target=Target(args.range_m, args.velocity, args.gain),
+            schemes=(cfg.scheme,) if args.command == "sweep" else tuple(Scheme),
+            target=target,
             snr_grid=tuple(_parse_snr(args.snr)),
             trials=args.trials,
             master_seed=args.seed,
@@ -198,17 +179,23 @@ def _run(args) -> None:
         print(f"wrote {args.out}")
         return
 
-    if args.command == "compare-pilots":
-        result = compare_pilots(
-            cfg,
-            Target(args.range_m, args.velocity, args.gain),
-            _parse_snr(args.snr),
-            trials=args.trials,
-            master_seed=args.seed,
-            solver=_solver(args),
-        )
-        write_sweep_csv(result, args.out)
-        print(f"wrote {args.out}")
+    # simulate and estimate: one trial at a single SNR
+    snr = _parse_snr(args.snr)
+    if len(snr) > 1:
+        raise InvalidSnrGrid(f"snr {args.snr!r}: expected a single point, got {len(snr)}")
+    d_low, d_high = simulate_trial_matrices(
+        cfg, target, sigma_for_snr(snr[0], target.gain), (args.seed, 0, 0, 0)
+    )
+    if args.command == "simulate":
+        dump_grid_csv(d_low.values, d_low.mask, f"{args.out}_low.csv")
+        dump_grid_csv(d_high.values, d_high.mask, f"{args.out}_high.csv")
+        print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
+        return
+    r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, _solver(args))
+    if cfg.scheme is Scheme.CA1:  # only the fused scheme has one spectrum per quantity
+        write_spectrum_csv(spectrum_rows(r_est), f"{args.out}_range.csv", "range_m")
+        write_spectrum_csv(spectrum_rows(v_est), f"{args.out}_velocity.csv", "velocity_mps")
+    print(f"scheme {cfg.scheme.value}: range {r_est.value:.6f} m, velocity {v_est.value:.6f} m/s")
 
 
 if __name__ == "__main__":

@@ -222,23 +222,16 @@ def make_table3_config(
     Fused bin widths with the default round c0: 2.44140625 m in range and
     10.1059 m/s in velocity.
     """
-    fc1, fc2 = 5.9e9, 24e9
-    df1, df2 = 30e3, 120e3
-    t2 = 1.0 / df2 + t_cp_high
-    t1 = t2 * fc2 / fc1
-    t_cp_low = t1 - 1.0 / df1
-    if t_cp_low < 0:
-        raise ValueError(f"derived low-band CP is negative: {t_cp_low!r}")
-    low_kind, high_kind = scheme.patterns
-    low_pilot = Comb(comb_interval) if low_kind is Comb else Block(block_interval)
-    high_pilot = Comb(comb_interval) if high_kind is Comb else Block(block_interval)
-    cfg = CaConfig(
-        low=BandConfig(fc1, df1, 512, 64, t_cp_low, low_pilot),
-        high=BandConfig(fc2, df2, 512, 64, t_cp_high, high_pilot),
-        scheme=scheme,
+    pilot = Block(1)  # placeholder: with_scheme sets the scheme's own pilots
+    skeleton = CaConfig(
+        low=BandConfig(5.9e9, 30e3, 512, 64, 0.0, pilot),
+        high=BandConfig(24e9, 120e3, 512, 64, t_cp_high, pilot),
+        scheme=Scheme.CA3,
         c0=c0,
     )
-    return validate(cfg)
+    return with_scheme(
+        with_high_band_spacing(skeleton, 120e3), scheme, comb_interval, block_interval
+    )
 
 
 def with_scheme(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import sigma_for_snr
 from .config import Block, CaConfig, Comb, BandConfig, Scheme, validate, with_high_band_spacing
 from .errors import SingularFisher, UnsupportedScheme
 from .grids import pilot_index_sets
@@ -210,8 +211,7 @@ def crlb_closed_form(inputs: CrlbInputs) -> CrlbReport:
 
 def sigma_from_snr(snr_db: float, h: float = 1.0) -> float:
     """Per-component noise std matching a per-sample SNR of h^2 / E|w|^2."""
-    total = h * 10.0 ** (-snr_db / 20.0)
-    return total / np.sqrt(2.0)
+    return sigma_for_snr(snr_db, h) / np.sqrt(2.0)
 
 
 def crlb_report_for_snr(

@@ -69,15 +69,20 @@ def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
     return TxGrid(symbols=symbols, mask=mask, band=band)
 
 
-def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
-    """Debug dump of a complex grid: one row per (n, m) with re/im/mask."""
+def write_csv(path, header, rows) -> None:
+    """Write a header line and rows: float cells as CSV_FLOAT_FMT, other cells as is.
+
+    The one CSV writer of casense. np.float64 is a float, so it is formatted
+    too; ints, np.int64 and strings are written as their str().
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "m", "re", "im", "mask"])
-        n_rows, n_cols = values.shape
-        for n in range(n_rows):
-            for m in range(n_cols):
-                v = values[n, m]
-                writer.writerow(
-                    [n, m, CSV_FLOAT_FMT % v.real, CSV_FLOAT_FMT % v.imag, int(mask[n, m])]
-                )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([CSV_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+
+
+def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
+    """Debug dump of a complex grid: one row per (n, m) with re/im/mask."""
+    rows = ((n, m, v.real, v.imag, int(mask[n, m])) for (n, m), v in np.ndenumerate(values))
+    write_csv(path, ["n", "m", "re", "im", "mask"], rows)

@@ -8,7 +8,6 @@ trials would bias the RMSE.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .estimators import (
     estimate_band_range,
     estimate_band_velocity,
 )
-from .grids import CSV_FLOAT_FMT, generate_tx_grid
+from .grids import generate_tx_grid, write_csv
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,11 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+# scheme-index slots of run_high_band_baseline's streams, clear of a sweep's 0, 1, ...
+_HIGH_BLOCK_SLOT = 100
+_HIGH_COMB_SLOT = 101
+
+
 def _trial_seed(master_seed: int, scheme_idx: int, snr_idx: int, trial: int, stream: int):
     return np.random.SeedSequence([master_seed, scheme_idx, snr_idx, trial, stream])
 
@@ -85,6 +89,17 @@ def _draw_target(spec: ExperimentSpec, rng: np.random.Generator) -> Target:
     )
 
 
+def _simulate_band(
+    cfg: CaConfig, band_idx: int, target: Target, noise_sigma: float, seed_parts
+) -> ChannelInfoMatrix:
+    """Channel matrix of the low (band_idx 0) or high (1) band, on that band's streams."""
+    tx = generate_tx_grid((cfg.low, cfg.high)[band_idx], _trial_seed(*seed_parts, 10 + band_idx))
+    scene = TargetScene(
+        targets=(target,), noise_sigma=noise_sigma, seed=_trial_seed(*seed_parts, 20 + band_idx)
+    )
+    return simulate_channel_info(tx, scene, c0=cfg.c0)
+
+
 def simulate_trial_matrices(
     cfg: CaConfig,
     target: Target,
@@ -92,15 +107,7 @@ def simulate_trial_matrices(
     seed_parts: tuple[int, int, int, int],
 ) -> tuple[ChannelInfoMatrix, ChannelInfoMatrix]:
     """Both bands' channel matrices for one trial, with independent streams."""
-    master, scheme_idx, snr_idx, trial = seed_parts
-    mats = []
-    for band_idx, band in enumerate((cfg.low, cfg.high)):
-        tx_seed = _trial_seed(master, scheme_idx, snr_idx, trial, 10 + band_idx)
-        noise_seed = _trial_seed(master, scheme_idx, snr_idx, trial, 20 + band_idx)
-        tx = generate_tx_grid(band, tx_seed)
-        scene = TargetScene(targets=(target,), noise_sigma=noise_sigma, seed=noise_seed)
-        mats.append(simulate_channel_info(tx, scene, c0=cfg.c0))
-    return mats[0], mats[1]
+    return tuple(_simulate_band(cfg, i, target, noise_sigma, seed_parts) for i in (0, 1))
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -169,11 +176,11 @@ def run_high_band_baseline(
         sq_r = 0.0
         sq_v = 0.0
         for trial in range(trials):
-            _, d_block = simulate_trial_matrices(
-                cfg_block, target, noise_sigma, (master_seed, 100, snr_idx, trial)
+            d_block = _simulate_band(
+                cfg_block, 1, target, noise_sigma, (master_seed, _HIGH_BLOCK_SLOT, snr_idx, trial)
             )
-            _, d_comb = simulate_trial_matrices(
-                cfg_comb, target, noise_sigma, (master_seed, 101, snr_idx, trial)
+            d_comb = _simulate_band(
+                cfg_comb, 1, target, noise_sigma, (master_seed, _HIGH_COMB_SLOT, snr_idx, trial)
             )
             r_hat = estimate_band_range(d_block, cfg.c0, solver).value
             v_hat = estimate_band_velocity(d_comb, cfg.c0, solver).value
@@ -245,36 +252,14 @@ def spectrum_rows(est: Estimate) -> list[tuple]:
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scheme",
-                "snr_db",
-                "rmse_range_m",
-                "rmse_velocity_mps",
-                "rcrlb_range_m",
-                "rcrlb_velocity_mps",
-                "trials",
-            ]
-        )
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.scheme,
-                    CSV_FLOAT_FMT % r.snr_db,
-                    CSV_FLOAT_FMT % r.rmse_range,
-                    CSV_FLOAT_FMT % r.rmse_velocity,
-                    CSV_FLOAT_FMT % r.rcrlb_range,
-                    CSV_FLOAT_FMT % r.rcrlb_velocity,
-                    r.trials,
-                ]
-            )
+    write_csv(
+        path,
+        ["scheme", "snr_db", "rmse_range_m", "rmse_velocity_mps",
+         "rcrlb_range_m", "rcrlb_velocity_mps", "trials"],
+        [(r.scheme, r.snr_db, r.rmse_range, r.rmse_velocity,
+          r.rcrlb_range, r.rcrlb_velocity, r.trials) for r in result.rows],
+    )
 
 
 def write_spectrum_csv(rows: list[tuple], path, physical_label: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", physical_label, "power", "is_peak"])
-        for b, phys, power, flag in rows:
-            writer.writerow([b, CSV_FLOAT_FMT % phys, CSV_FLOAT_FMT % power, flag])
+    write_csv(path, ["bin", physical_label, "power", "is_peak"], rows)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import sys
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from casense.cli import MAX_SNR_POINTS, _parse_snr, main
 from casense.config import CaConfig, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
+from casense.grids import CSV_FLOAT_FMT
 from casense.harness import simulate_trial_matrices
 from casense.recovery import FORWARD, INVERSE
 
@@ -65,16 +67,45 @@ def test_bad_snr_grid_reaches_user_as_casense_error(tmp_path, capsys):
 
 
 SUBCOMMANDS = ["simulate", "estimate", "crlb", "sweep", "compare-pilots"]
+NAN_SNR = "casense: error: snr 'nan': every value must be finite"
+# (subcommand, flags, last stderr line); the bad --snr cases keep their
+# subcommand as id, the others name the flag value
+BAD_INPUTS = [pytest.param(c, ["--snr", "nan"], NAN_SNR, id=c) for c in SUBCOMMANDS] + [
+    pytest.param(
+        c, [f"--snr={snr}"], f"casense: error: snr '{snr}': expected a single point, got {n}",
+        id=f"{c}-snr={snr}",
+    )
+    for c in ("simulate", "estimate")
+    for snr, n in (("10,-30", 2), ("-30:5:10", 9))
+] + [
+    pytest.param(
+        "crlb", [f"--delta-f={v}"],
+        f"casense crlb: error: argument --delta-f: '{v}' is not a comma list of positive "
+        "spacings (Hz)",
+        id=f"crlb-delta-f={v}",
+    )
+    for v in ("abc", "0", "nan", "-120e3", "60e3,0")
+] + [
+    pytest.param(
+        c, ["--trials", v], f"casense {c}: error: argument --trials: '{v}' is not a positive integer",
+        id=f"{c}-trials={v}",
+    )
+    for c in ("sweep", "compare-pilots")
+    for v in ("0", "-1")
+]
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_every_subcommand_reports_bad_snr_as_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flags, message", BAD_INPUTS)
+def test_every_subcommand_reports_bad_snr_as_usage_error(tmp_path, capsys, command, flags, message):
+    # bad --snr grids and the other bad flag values alike: exit status 2, one
+    # error line, no traceback, nothing written
     with pytest.raises(SystemExit) as info:
-        main([command, "--out", str(tmp_path / "o"), "--snr", "nan"])
+        main([command, "--out", str(tmp_path / "o"), *flags])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1] == "casense: error: snr 'nan': every value must be finite"
+    assert err.splitlines()[-1] == message
+    assert [line for line in err.splitlines() if "error:" in line] == [message]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -191,6 +222,42 @@ def test_config_file_and_scheme_flag(tmp_path):
     assert rc == 0
     rows = read_csv(out)
     assert rows[1][0] == "CA4"
+
+
+FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
+INT_COLUMNS = {"n", "m", "mask", "bin", "is_peak", "trials"}
+STR_COLUMNS = {"scheme", "method"}
+
+
+def test_every_csv_writes_floats_in_the_one_format(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fast = ["--max-iters", "5", "--tol", "1e-3"]
+    for argv in (
+        ["simulate", "--out", "sim", "--snr", "5"],
+        ["estimate", "--out", "est", "--snr", "10", *fast],
+        ["crlb", "--out", "crlb.csv", "--snr", "0", "--delta-f", "60e3,120e3"],
+        ["sweep", "--out", "sweep.csv", "--snr", "10", "--trials", "1", *fast],
+        ["compare-pilots", "--out", "cmp.csv", "--snr", "10", "--trials", "1", *fast],
+    ):
+        assert main(argv) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [
+        "cmp.csv", "crlb.csv", "est_range.csv", "est_velocity.csv",
+        "sim_high.csv", "sim_low.csv", "sweep.csv",
+    ]
+    for name in names:
+        header, *rows = read_csv(tmp_path / name)
+        assert rows, name
+        for col, label in enumerate(header):
+            cells = [row[col] for row in rows]
+            if label in STR_COLUMNS:
+                continue
+            if label in INT_COLUMNS:
+                assert all(str(int(c)) == c for c in cells), (name, label)
+                continue
+            for c in cells:
+                assert FLOAT_CELL.match(c), (name, label, c)
+                assert CSV_FLOAT_FMT % float(c) == c, (name, label, c)
 
 
 def patch_counter(monkeypatch, module, name, record):

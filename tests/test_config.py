@@ -129,6 +129,34 @@ def test_with_scheme_builds_each_structure(scheme):
     assert cfg.low.pilot.interval == 4 and cfg.high.pilot.interval == 4
 
 
+# low-band CPs recorded before make_table3_config was built from with_scheme
+# and with_high_band_spacing; every other field is a literal of Table 3
+T_CP_LOW_133 = 5.975141242937854e-06  # t_cp_high = 1.33 us
+T_CP_LOW_200 = 8.70056497175141e-06  # t_cp_high = 2 us
+
+
+@pytest.mark.parametrize(
+    "kwargs, t_cp_high, t_cp_low, low_pilot, high_pilot",
+    [
+        ({"scheme": Scheme.CA1}, 1.33e-6, T_CP_LOW_133, Comb(4), Block(4)),
+        ({"scheme": Scheme.CA2}, 1.33e-6, T_CP_LOW_133, Block(4), Comb(4)),
+        ({"scheme": Scheme.CA3}, 1.33e-6, T_CP_LOW_133, Block(4), Block(4)),
+        ({"scheme": Scheme.CA4}, 1.33e-6, T_CP_LOW_133, Comb(4), Comb(4)),
+        ({"scheme": Scheme.CA4, "block_interval": 3}, 1.33e-6, T_CP_LOW_133, Comb(4), Comb(4)),
+        ({"t_cp_high": 2e-6, "block_interval": 8}, 2e-6, T_CP_LOW_200, Comb(4), Block(8)),
+    ],
+    ids=["CA1", "CA2", "CA3", "CA4", "CA4-unused-block-interval", "CA1-cp2us-q8"],
+)
+def test_table3_config_matches_recorded(kwargs, t_cp_high, t_cp_low, low_pilot, high_pilot):
+    expected = CaConfig(
+        low=BandConfig(5.9e9, 30e3, 512, 64, t_cp_low, low_pilot),
+        high=BandConfig(24e9, 120e3, 512, 64, t_cp_high, high_pilot),
+        scheme=kwargs.get("scheme", Scheme.CA1),
+        c0=3e8,
+    )
+    assert make_table3_config(**kwargs) == expected  # dataclass equality: exact floats
+
+
 def test_with_high_band_spacing_preserves_constraints():
     cfg = make_table3_config()
     scaled = with_high_band_spacing(cfg, 240e3)

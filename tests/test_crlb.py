@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from casense.channel import sigma_for_snr
 from casense.config import (
     BandConfig,
     Block,
@@ -167,6 +168,15 @@ def test_sigma_from_snr_mapping():
     rep_cf = crlb_report_for_snr(make_table3_config(), 0.0)
     rep_or = crlb_report_for_snr(make_table3_config(), 0.0, method="oracle")
     assert rep_cf.crlb_range == pytest.approx(rep_or.crlb_range, rel=1e-9)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.7])
+def test_sigma_from_snr_is_the_channel_sigma_over_sqrt2(h):
+    # bit-equal to the simulator's total noise std over sqrt(2), and to the
+    # per-component formula the CRLB module used to evaluate on its own
+    for snr_db in [k / 10 for k in range(-400, 401)]:
+        assert sigma_from_snr(snr_db, h) == sigma_for_snr(snr_db, h) / np.sqrt(2.0)
+        assert sigma_from_snr(snr_db, h) == h * 10.0 ** (-snr_db / 20.0) / np.sqrt(2.0)
 
 
 def test_score_matches_finite_differences():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casense.config import BandConfig, Block, Comb
-from casense.grids import dump_grid_csv, generate_tx_grid, pilot_index_sets, pilot_mask
+from casense.grids import dump_grid_csv, generate_tx_grid, pilot_index_sets, pilot_mask, write_csv
 
 
 def band(n, m, pilot):
@@ -84,3 +84,17 @@ def test_grid_csv_dump(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,m,re,im,mask"
     assert len(lines) == 1 + 4 * 2
+
+
+def test_write_csv_formats_float_cells_only(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        (0.1, np.float64(-2.5e-300), 3, np.int64(-4), "CA1"),
+        (1e300, np.float64(0.0), 0, np.int64(7), "a,b"),
+    ]
+    write_csv(path, ["f", "f64", "i", "i64", "s"], rows)
+    assert path.read_bytes().decode() == (
+        "f,f64,i,i64,s\r\n"
+        "1.0000000000000001e-01,-2.5000000000000000e-300,3,-4,CA1\r\n"
+        '1.0000000000000001e+300,0.0000000000000000e+00,0,7,"a,b"\r\n'
+    )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import casense.harness
 from casense.channel import Target
 from casense.config import Scheme, make_table3_config, with_scheme
 from casense.estimators import SolverOptions
@@ -181,6 +182,37 @@ def test_high_band_baseline_rows(table3):
     assert len(rows) == 1
     assert rows[0]["rmse_range_high_block"] == pytest.approx(0.1875, abs=1e-9)
     assert rows[0]["rmse_velocity_high_comb"] == pytest.approx(0.3176, abs=1e-3)
+
+
+def test_high_band_baseline_rows_pinned_and_simulates_only_the_high_bands(table3, monkeypatch):
+    calls = []
+    simulate = casense.harness.simulate_channel_info
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].band)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(casense.harness, "simulate_channel_info", counted)
+    rows = run_high_band_baseline(
+        table3, Target(117.0, 30.0), snr_grid=(-32.0, -28.0), trials=3, master_seed=5, solver=FAST
+    )
+    # recorded when each trial still simulated both bands of two full trials
+    assert rows == [
+        {
+            "snr_db": -32.0,
+            "rmse_range_high_block": 730.3270695480264,
+            "rmse_velocity_high_comb": 165.65999178801192,
+            "trials": 3,
+        },
+        {
+            "snr_db": -28.0,
+            "rmse_range_high_block": 300.3417085445834,
+            "rmse_velocity_high_comb": 278.9517463493556,
+            "trials": 3,
+        },
+    ]
+    assert len(calls) == 2 * 3 * 2  # one block and one comb high band per trial
+    assert all(band.fc == table3.high.fc for band in calls)
 
 
 def test_experiment_spec_validation(table3):
