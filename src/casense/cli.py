@@ -20,6 +20,7 @@ from .estimators import SolverOptions, estimate_any_scheme
 from .grids import dump_grid_csv, write_csv
 from .harness import (
     ExperimentSpec,
+    compare_pilots,
     run_sweep,
     simulate_trial_matrices,
     spectrum_rows,
@@ -61,18 +62,16 @@ def _parse_snr(text: str) -> list[float]:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    n = int(text)
+    if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+    return n
 
 
 def _spacings(text: str) -> list[float]:
     """Comma list of high-band subcarrier spacings: finite and positive, in Hz."""
-    try:
-        values = [float(t) for t in text.split(",")]
-    except ValueError:
-        values = []
-    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+    values = [float(t) for t in text.split(",")]
+    if not all(math.isfinite(v) and v > 0 for v in values):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of positive spacings (Hz)")
     return values
 
@@ -151,8 +150,16 @@ def _run(args) -> None:
     if args.command == "crlb":
         snr_grid = _parse_snr(args.snr)
         rows = [
-            (cfg.scheme.value, r.snr_db, r.delta_f, r.crlb_range, r.crlb_velocity,
-             r.rcrlb_range, r.rcrlb_velocity, method)
+            (
+                cfg.scheme.value,
+                r.snr_db,
+                r.delta_f,
+                r.crlb_range,
+                r.crlb_velocity,
+                r.rcrlb_range,
+                r.rcrlb_velocity,
+                method,
+            )
             for method in ("closed-form", "oracle")
             for r in crlb_sweep(cfg, snr_grid, args.delta_f, method=method)
         ]
@@ -165,10 +172,10 @@ def _run(args) -> None:
         return
 
     target = Target(args.range_m, args.velocity, args.gain)
-    if args.command in ("sweep", "compare-pilots"):
+    if args.command == "sweep":
         spec = ExperimentSpec(
             cfg=cfg,
-            schemes=(cfg.scheme,) if args.command == "sweep" else tuple(Scheme),
+            schemes=(cfg.scheme,),
             target=target,
             snr_grid=tuple(_parse_snr(args.snr)),
             trials=args.trials,
@@ -176,6 +183,19 @@ def _run(args) -> None:
             solver=_solver(args),
         )
         write_sweep_csv(run_sweep(spec), args.out)
+        print(f"wrote {args.out}")
+        return
+
+    if args.command == "compare-pilots":
+        result = compare_pilots(
+            cfg,
+            target,
+            _parse_snr(args.snr),
+            trials=args.trials,
+            master_seed=args.seed,
+            solver=_solver(args),
+        )
+        write_sweep_csv(result, args.out)
         print(f"wrote {args.out}")
         return
 

@@ -72,17 +72,22 @@ def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
 def write_csv(path, header, rows) -> None:
     """Write a header line and rows: float cells as CSV_FLOAT_FMT, other cells as is.
 
-    The one CSV writer of casense. np.float64 is a float, so it is formatted
-    too; ints, np.int64 and strings are written as their str().
+    The one CSV writer of casense. Python and numpy floats (np.float64,
+    np.float32) are formatted; ints, np.int64 and strings are written as
+    their str().
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([CSV_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+            cells = [CSV_FLOAT_FMT % v if isinstance(v, (float, np.floating)) else v for v in row]
+            writer.writerow(cells)
 
 
 def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
     """Debug dump of a complex grid: one row per (n, m) with re/im/mask."""
-    rows = ((n, m, v.real, v.imag, int(mask[n, m])) for (n, m), v in np.ndenumerate(values))
+    rows = (
+        (n, m, float(v.real), float(v.imag), int(mask[n, m]))
+        for (n, m), v in np.ndenumerate(values)
+    )
     write_csv(path, ["n", "m", "re", "im", "mask"], rows)

@@ -254,10 +254,27 @@ def spectrum_rows(est: Estimate) -> list[tuple]:
 def write_sweep_csv(result: SweepResult, path) -> None:
     write_csv(
         path,
-        ["scheme", "snr_db", "rmse_range_m", "rmse_velocity_mps",
-         "rcrlb_range_m", "rcrlb_velocity_mps", "trials"],
-        [(r.scheme, r.snr_db, r.rmse_range, r.rmse_velocity,
-          r.rcrlb_range, r.rcrlb_velocity, r.trials) for r in result.rows],
+        [
+            "scheme",
+            "snr_db",
+            "rmse_range_m",
+            "rmse_velocity_mps",
+            "rcrlb_range_m",
+            "rcrlb_velocity_mps",
+            "trials",
+        ],
+        [
+            (
+                r.scheme,
+                r.snr_db,
+                r.rmse_range,
+                r.rmse_velocity,
+                r.rcrlb_range,
+                r.rcrlb_velocity,
+                r.trials,
+            )
+            for r in result.rows
+        ],
     )
 
 

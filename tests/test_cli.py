@@ -84,7 +84,15 @@ BAD_INPUTS = [pytest.param(c, ["--snr", "nan"], NAN_SNR, id=c) for c in SUBCOMMA
         "spacings (Hz)",
         id=f"crlb-delta-f={v}",
     )
-    for v in ("abc", "0", "nan", "-120e3", "60e3,0")
+    for v in ("0", "nan", "-120e3", "60e3,0")
+] + [
+    # a non-numeric value fails the converter's float(); argparse reports that itself
+    pytest.param(
+        "crlb", [f"--delta-f={v}"],
+        f"casense crlb: error: argument --delta-f: invalid _spacings value: '{v}'",
+        id=f"crlb-delta-f={v}",
+    )
+    for v in ("abc", "60e3,")
 ] + [
     pytest.param(
         c, ["--trials", v], f"casense {c}: error: argument --trials: '{v}' is not a positive integer",
@@ -92,6 +100,13 @@ BAD_INPUTS = [pytest.param(c, ["--snr", "nan"], NAN_SNR, id=c) for c in SUBCOMMA
     )
     for c in ("sweep", "compare-pilots")
     for v in ("0", "-1")
+] + [
+    pytest.param(
+        c, ["--trials", v], f"casense {c}: error: argument --trials: invalid _positive_int value: '{v}'",
+        id=f"{c}-trials={v}",
+    )
+    for c in ("sweep", "compare-pilots")
+    for v in ("2.5", "abc")
 ]
 
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from casense.config import BandConfig, Block, Comb
-from casense.grids import dump_grid_csv, generate_tx_grid, pilot_index_sets, pilot_mask, write_csv
+from casense.grids import (
+    CSV_FLOAT_FMT,
+    dump_grid_csv,
+    generate_tx_grid,
+    pilot_index_sets,
+    pilot_mask,
+    write_csv,
+)
 
 
 def band(n, m, pilot):
@@ -89,12 +96,33 @@ def test_grid_csv_dump(tmp_path):
 def test_write_csv_formats_float_cells_only(tmp_path):
     path = tmp_path / "cells.csv"
     rows = [
-        (0.1, np.float64(-2.5e-300), 3, np.int64(-4), "CA1"),
-        (1e300, np.float64(0.0), 0, np.int64(7), "a,b"),
+        (0.1, np.float64(-2.5e-300), np.float32(0.1), 3, np.int64(-4), "CA1"),
+        (1e300, np.float64(0.0), np.complex64(0.5 - 0.1j).imag, 0, np.int64(7), "a,b"),
     ]
-    write_csv(path, ["f", "f64", "i", "i64", "s"], rows)
+    write_csv(path, ["f", "f64", "f32", "i", "i64", "s"], rows)
     assert path.read_bytes().decode() == (
-        "f,f64,i,i64,s\r\n"
-        "1.0000000000000001e-01,-2.5000000000000000e-300,3,-4,CA1\r\n"
-        '1.0000000000000001e+300,0.0000000000000000e+00,0,7,"a,b"\r\n'
+        "f,f64,f32,i,i64,s\r\n"
+        "1.0000000000000001e-01,-2.5000000000000000e-300,1.0000000149011612e-01,3,-4,CA1\r\n"
+        '1.0000000000000001e+300,0.0000000000000000e+00,-1.0000000149011612e-01,0,7,"a,b"\r\n'
     )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[0.5 - 0.1j, 2.0]], dtype=np.complex64),
+        np.array([[1, 3]], dtype=np.int64),
+        np.array([[0.5 - 0.1j, 2.0]], dtype=complex),
+    ],
+    ids=["complex64", "int64", "complex128"],
+)
+def test_grid_csv_dump_formats_re_im_for_every_dtype(tmp_path, values):
+    # re/im are float columns whatever the array's dtype, as in the
+    # per-column writer this one replaced
+    path = tmp_path / "grid.csv"
+    dump_grid_csv(values, np.array([[True, False]]), path)
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [
+        f"0,{m},{CSV_FLOAT_FMT % v.real},{CSV_FLOAT_FMT % v.imag},{int(m == 0)}"
+        for m, v in enumerate(values[0])
+    ]
