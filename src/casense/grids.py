@@ -86,8 +86,6 @@ def write_csv(path, header, rows) -> None:
 
 def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
     """Debug dump of a complex grid: one row per (n, m) with re/im/mask."""
-    rows = (
-        (n, m, float(v.real), float(v.imag), int(mask[n, m]))
-        for (n, m), v in np.ndenumerate(values)
-    )
-    write_csv(path, ["n", "m", "re", "im", "mask"], rows)
+    n, m = np.indices(values.shape)
+    columns = (n, m, values.real.astype(float), values.imag.astype(float), mask.astype(int))
+    write_csv(path, ["n", "m", "re", "im", "mask"], zip(*(c.ravel().tolist() for c in columns)))
