@@ -88,4 +88,5 @@ def dump_grid_csv(values: np.ndarray, mask: np.ndarray, path) -> None:
     """Debug dump of a complex grid: one row per (n, m) with re/im/mask."""
     n, m = np.indices(values.shape)
     columns = (n, m, values.real.astype(float), values.imag.astype(float), mask.astype(int))
-    write_csv(path, ["n", "m", "re", "im", "mask"], zip(*(c.ravel().tolist() for c in columns)))
+    rows = zip(*(c.ravel().tolist() for c in columns))
+    write_csv(path, ["n", "m", "re", "im", "mask"], rows)
