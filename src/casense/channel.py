@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BandConfig
-from .errors import EmptyScene, VelocityAmbiguityWarning
+from .errors import EmptyScene, InvalidTarget, VelocityAmbiguityWarning
 from .grids import TxGrid
 
 
@@ -29,10 +29,12 @@ class Target:
     gain: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if self.range_m < 0:
-            raise ValueError("range must be nonnegative")
+        if not (np.isfinite(self.range_m) and self.range_m >= 0):
+            raise InvalidTarget(f"range {self.range_m} m must be finite and nonnegative")
+        if not np.isfinite(self.velocity_mps):
+            raise InvalidTarget(f"velocity {self.velocity_mps} m/s must be finite")
         if self.gain == 0 or not np.isfinite(self.gain):
-            raise ValueError("gain must be finite and nonzero")
+            raise InvalidTarget(f"gain {self.gain} must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,7 @@ def simulate_channel_info(
     values = np.zeros(tx.mask.shape, dtype=complex)
     for tgt in scene.targets:
         if tgt.range_m >= r_max:
-            raise ValueError(
-                f"range {tgt.range_m} m is beyond the unambiguous span {r_max} m"
-            )
+            raise InvalidTarget(f"range {tgt.range_m} m is beyond the unambiguous span {r_max} m")
         check_velocity_unambiguous(band, tgt.velocity_mps, c0)
         k_r = np.exp(-2j * np.pi * n * band.delta_f * 2.0 * tgt.range_m / c0)
         k_d = np.exp(2j * np.pi * m * t_sym * 2.0 * tgt.velocity_mps * band.fc / c0)

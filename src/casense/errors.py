@@ -45,5 +45,17 @@ class InvalidSnrGrid(CasenseError, ValueError):
     """SNR grid text is malformed, non-finite, empty, or longer than the cap."""
 
 
+class InvalidSolverOptions(CasenseError, ValueError):
+    """Solver knob is non-finite, negative, or not a whole number of iterations >= 1."""
+
+
+class InvalidTarget(CasenseError, ValueError):
+    """Target range or velocity non-finite, range negative or beyond the span, or gain zero."""
+
+
+class NonFiniteSpectrum(CasenseError, ValueError):
+    """Spectrum holds NaN or inf, so it has no meaningful peak."""
+
+
 class VelocityAmbiguityWarning(UserWarning):
     """Target velocity exceeds the unambiguous Doppler span of a band."""

@@ -19,13 +19,15 @@ the band's unambiguous prefix of M/Q bins.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
-from .errors import SchemeMismatch
+from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
 from .fusion import build_range_selection, build_velocity_selection, rearrange_low_band
 from .recovery import FORWARD, INVERSE, SensingOperator, fista_iterations
 
@@ -37,6 +39,15 @@ class SolverOptions:
     lambda_scale: float = 0.1
     max_iters: int = 200
     tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("lambda_scale", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidSolverOptions(f"{name} {value} must be finite and nonnegative")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not (isinstance(iters, numbers.Integral) and iters >= 1):
+            raise InvalidSolverOptions(f"max_iters {iters!r} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,8 @@ class AveragedEstimate:
 
 def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = None) -> Estimate:
     """Normalize, search the (optionally restricted) window, map bin to physical."""
+    if not np.isfinite(spectrum.values).all():
+        raise NonFiniteSpectrum(f"{kind} spectrum holds NaN or inf values")
     norm = spectrum.normalize()
     window = norm.values if search_bins is None else norm.values[:search_bins]
     b = int(np.argmax(window))

@@ -11,6 +11,8 @@ with complex (phase-preserving) soft thresholding.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,68 +145,174 @@ def fista_iterations(
     unitary DFT, so A A* = I. Each iteration takes one proximal gradient
     step from y,
 
-        x_next = soft_threshold(y - (A*A y - A*d), lam),
+        x_next = soft_threshold(y - A*(A y - d), lam).
 
-    where A*d is formed once before the loop and A*A y = F^-1(mask * F(y))
-    with F the operator's transform without its unitary scaling (the
-    1/sqrt(n) and sqrt(n) factors cancel). Masked-out rows are zeroed in
-    place between the two FFTs, so no rows are gathered or scattered. With
-    momentum, y = x_next + ((t - 1) / t_next) (x_next - x) and
+    The gradient step is taken in the transform domain: with F the
+    operator's transform without its unitary scaling, y - A*(A y - d) =
+    F^-1(F(y) with the kept rows replaced by d * sqrt(n)) for the forward
+    operator, d / sqrt(n) for the inverse one, so A*d is never formed and
+    no rows are zero-filled. With momentum,
+    y = x_next + ((t - 1) / t_next) (x_next - x) and
     t_next = (1 + sqrt(1 + 4 t^2)) / 2; without it y = x_next.
 
-    All columns share one stop test: the run ends after the first iteration
-    with ||x_next - x||_F < tol * ||x_next||_F (Frobenius norms over the whole
-    batch), or after max_iters. Returns (x, iterations). The momentum scalar
-    schedule is data independent, so a batched run is exactly the
-    column-wise application of the single-rhs iteration (up to the shared
-    stopping test).
+    Every column stops on its own: column j ends after its first iteration
+    with ||x_next_j - x_j|| < tol * ||x_next_j||, or after max_iters. The
+    momentum schedule is data independent and every step acts on one column
+    at a time, so column j's result is exactly its single-column solve,
+    whatever else is in the batch. Returns (x, iterations), iterations
+    being the largest count any column ran.
+
+    The columns are split into contiguous blocks that run in threads with
+    no synchronisation between iterations: one block per CPU this process
+    may run on, each of at least 16 columns (so a batch under 32 columns
+    runs in the calling thread alone). The result does not depend on the
+    number of blocks.
     """
-    if op.direction == FORWARD:
-        transform, inverse = np.fft.fft, np.fft.ifft
-    else:
-        transform, inverse = np.fft.ifft, np.fft.fft
-    dropped_rows = ~op.row_mask
-    a_star_d = op.adjoint(d)
-    x = np.zeros_like(a_star_d)
-    y = np.zeros_like(a_star_d)
-    z = np.empty_like(a_star_d)
-    x_next = np.empty_like(a_star_d)
-    diff = np.empty_like(a_star_d)
-    shrink = np.empty(a_star_d.shape)
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    d = np.asarray(d, dtype=complex)
+    if d.shape[0] != op.n_measurements:
+        raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")
+    rows = d.reshape(op.n_measurements, -1).T  # (batch, p): one column per row
+    batch = rows.shape[0]
+    # Every buffer is allocated here, in the calling thread; blocks get row views.
+    w = _Workspace(op, rows, lam, batch)
+    workers = _worker_count(batch)
+    blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]
+    args = (max_iters, tol, momentum)
+    futures = []
+    if workers > 1:
+        pool = _executor(workers - 1)
+        futures = [pool.submit(_fista_block, w, *block, *args) for block in blocks[1:]]
+    try:
+        counts = [_fista_block(w, *blocks[0], *args)]
+    finally:
+        counts += [f.result() for f in futures]
+    return (w.out if d.ndim > 1 else w.out[:, 0]), max(counts)
+
+
+class _Workspace:
+    """Buffers of one fista_iterations call, in a (batch, n) layout."""
+
+    def __init__(self, op: SensingOperator, rows: np.ndarray, lam, batch: int):
+        if op.direction == FORWARD:
+            self.transform, self.inverse = np.fft.fft, np.fft.ifft
+            scale = np.sqrt(op.n)
+        else:
+            self.transform, self.inverse = np.fft.ifft, np.fft.fft
+            scale = 1.0 / np.sqrt(op.n)
+        self.kept = _as_slice(np.flatnonzero(op.row_mask))
+        self.data = np.multiply(rows, scale, order="C")
+        # The floor keeps lam = 0 from dividing 0 by 0 in the soft threshold.
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
+        self.lam = np.maximum(lam, 1e-300)[:, None]
+        self.x = np.zeros((batch, op.n), dtype=complex)
+        self.y = np.zeros_like(self.x)
+        self.x_next = np.empty_like(self.x)
+        self.z = np.empty_like(self.x)
+        self.mag = np.empty(self.x.shape)
+        self.norms = np.empty((2, batch))  # squared ||x_next - x|| and ||x_next|| per row
+        self.order = np.arange(batch)  # row -> column of d
+        self.out = np.empty((op.n, batch), dtype=complex)
+
+
+def _as_slice(rows: np.ndarray):
+    """Evenly spaced row indices as a slice (much faster to assign through), else as they are."""
+    step = int(rows[1] - rows[0]) if len(rows) > 1 else 1
+    if np.array_equal(rows, np.arange(rows[0], rows[-1] + 1, step)):
+        return slice(int(rows[0]), int(rows[-1]) + 1, step)
+    return rows
+
+
+def _fista_block(
+    w: _Workspace, lo: int, hi: int, max_iters: int, tol: float, momentum: bool
+) -> int:
+    """Runs columns lo..hi-1 of w (by starting row) to their own stops.
+
+    The block's running columns are the rows [0, active) of its views. A
+    column that stops is written to w.out, and a running row from past the
+    shrunk prefix takes its place. Returns the largest iteration count in
+    the block.
+    """
+    data, lam, order = w.data[lo:hi], w.lam[lo:hi], w.order[lo:hi]
+    x, y, x_next = w.x[lo:hi], w.y[lo:hi], w.x_next[lo:hi]
+    z, mag = w.z[lo:hi], w.mag[lo:hi]
+    dsq, xsq = w.norms[0, lo:hi], w.norms[1, lo:hi]
+    active = hi - lo
     t = 1.0
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        # z = y - (A*A y - A*d)
-        transform(y, axis=0, out=z)
-        z[dropped_rows] = 0
-        inverse(z, axis=0, out=z)
-        np.subtract(z, a_star_d, out=z)
-        np.subtract(y, z, out=z)
-        # x_next = soft_threshold(z, lam), the same operations written into buffers
-        np.abs(z, out=shrink)
-        np.maximum(shrink, 1e-300, out=shrink)
-        np.divide(lam, shrink, out=shrink)
-        np.subtract(1.0, shrink, out=shrink)
-        np.maximum(shrink, 0.0, out=shrink)
-        np.multiply(z, shrink, out=x_next)
-        np.subtract(x_next, x, out=diff)
-        rel = _frobenius(diff) / max(_frobenius(x_next), 1e-300)
+    while active and iterations < max_iters:
+        iterations += 1
+        a = active
+        za, ma, xa, xna = z[:a], mag[:a], x[:a], x_next[:a]
+        w.transform(y[:a], axis=-1, out=za)
+        za[:, w.kept] = data[:a]
+        w.inverse(za, axis=-1, out=za)
+        # x_next = z * (1 - lam / max(|z|, lam)): soft_threshold(z, lam) bit for bit, one pass less
+        np.abs(za, out=ma)
+        np.maximum(ma, lam[:a], out=ma)
+        np.divide(lam[:a], ma, out=ma)
+        np.subtract(1.0, ma, out=ma)
+        np.multiply(za, ma, out=xna)
+        change = np.subtract(xna, xa, out=xa)  # x is not read again: it holds x_next - x
+        dv, xv = change.view(np.float64), xna.view(np.float64)
+        np.vecdot(dv, dv, out=dsq[:a])
+        np.vecdot(xv, xv, out=xsq[:a])
         if momentum:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            np.multiply(diff, (t - 1.0) / t_next, out=y)
-            np.add(x_next, y, out=y)
+            np.multiply(change, (t - 1.0) / t_next, out=y[:a])
+            np.add(xna, y[:a], out=y[:a])
             t = t_next
         else:
-            np.copyto(y, x_next)
+            np.copyto(y[:a], xna)
         x, x_next = x_next, x
-        if rel < tol:
-            break
-    return x, iterations
+        stopped = np.sqrt(dsq[:a]) / np.maximum(np.sqrt(xsq[:a]), 1e-300) < tol
+        if stopped.any():
+            done = np.flatnonzero(stopped)
+            w.out[:, order[done]] = x[done].T
+            active = a - len(done)
+            # running rows past the new prefix move into the stopped rows inside it
+            holes, movers = done[done < active], np.flatnonzero(~stopped[active:]) + active
+            for buf in (x, y, data, lam, order):
+                buf[holes] = buf[movers]
+    w.out[:, order[:active]] = x[:active].T
+    return iterations
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a contiguous complex array."""
-    return float(np.sqrt(np.vdot(a, a).real))
+def _worker_count(batch: int) -> int:
+    """Column blocks for a batch: one per CPU this process may run on, each of >= 16 columns."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, batch // 16))
+
+
+_pool = None  # a concurrent.futures.ThreadPoolExecutor once a solve has needed one
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int):
+    """The module's thread pool, created on first use with at least `workers` threads."""
+    # Imported on first use: concurrent.futures brings in logging, which
+    # importing casense does not otherwise need.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers < workers:
+            # A smaller pool is dropped, not shut down: a concurrent caller may still use it.
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="casense-fista")
+            _pool_workers = workers
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    """A forked child has none of the parent's threads: start from no pool."""
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def solve_fista(p: LassoProblem) -> RecoveryResult:

@@ -1,4 +1,11 @@
+from hypothesis import settings
+
 from casense.config import BandConfig, Block, CaConfig, Comb, Scheme, validate
+
+# Property tests draw the same examples on every run and carry no wall-clock
+# deadline, so a loaded machine cannot fail them.
+settings.register_profile("casense", derandomize=True, deadline=None)
+settings.load_profile("casense")
 
 
 def lattice_config(n, m, k, q, scheme):

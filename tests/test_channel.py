@@ -8,7 +8,7 @@ from casense.channel import (
     simulate_channel_info,
 )
 from casense.config import make_table3_config
-from casense.errors import EmptyScene, VelocityAmbiguityWarning
+from casense.errors import CasenseError, EmptyScene, InvalidTarget, VelocityAmbiguityWarning
 from casense.grids import generate_tx_grid
 
 C0 = 3e8
@@ -116,7 +116,7 @@ def test_velocity_ambiguity_warns(table3):
 
 def test_range_beyond_unambiguous_span_rejected(table3):
     r_max = C0 / (2 * table3.high.delta_f)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTarget):
         make_matrix(table3.high, [Target(r_max + 1.0, 0.0)])
 
 
@@ -127,3 +127,22 @@ def test_target_validation():
         Target(10.0, 0.0, gain=0.0)
     with pytest.raises(ValueError):
         TargetScene(targets=(Target(1.0, 1.0),), noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(range_m=-1.0, velocity_mps=0.0),
+        dict(range_m=float("nan"), velocity_mps=0.0),
+        dict(range_m=float("inf"), velocity_mps=0.0),
+        dict(range_m=10.0, velocity_mps=float("nan")),
+        dict(range_m=10.0, velocity_mps=float("inf")),
+        dict(range_m=10.0, velocity_mps=-float("inf")),
+        dict(range_m=10.0, velocity_mps=0.0, gain=0.0),
+        dict(range_m=10.0, velocity_mps=0.0, gain=complex("nan")),
+    ],
+)
+def test_target_rejects_non_finite_or_out_of_range_values(kwargs):
+    with pytest.raises(InvalidTarget) as info:
+        Target(**kwargs)
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)

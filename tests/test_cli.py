@@ -124,6 +124,49 @@ def test_every_subcommand_reports_bad_snr_as_usage_error(tmp_path, capsys, comma
     assert list(tmp_path.iterdir()) == []
 
 
+BAD_SOLVER_OR_TARGET = [
+    pytest.param(c, flags, id=f"{c}{''.join(flags)}")
+    for c in ("estimate", "sweep", "compare-pilots")
+    for flags in (
+        ["--lambda-scale", "nan"],
+        ["--lambda-scale", "-1"],
+        ["--tol", "inf"],
+        ["--tol", "-1"],
+        ["--max-iters", "0"],
+        ["--range", "-1"],
+        ["--range", "nan"],
+        ["--velocity", "inf"],
+        ["--gain", "0"],
+    )
+] + [
+    pytest.param(c, flags, id=f"{c}{''.join(flags)}")
+    for c, flags in (
+        ("simulate", ["--range", "-1"]),
+        ("simulate", ["--gain", "0"]),
+        ("simulate", ["--range", "5000"]),  # beyond the low band's unambiguous span
+        ("estimate", ["--range", "5000"]),
+    )
+]
+FIELD_IN_MESSAGE = {
+    "--lambda-scale": "lambda_scale", "--tol": "tol", "--max-iters": "max_iters",
+    "--range": "range", "--velocity": "velocity", "--gain": "gain",
+}
+
+
+@pytest.mark.parametrize("command, flags", BAD_SOLVER_OR_TARGET)
+def test_bad_solver_or_target_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    # exit status 2, one error line naming the value, no traceback, nothing written
+    trials = ["--trials", "1"] if command in ("sweep", "compare-pilots") else []
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path / "o"), "--snr", "10", *trials, *flags])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert err.splitlines()[-1].startswith(f"casense: error: {FIELD_IN_MESSAGE[flags[0]]} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
     cfg = make_table3_config()

@@ -3,7 +3,13 @@ import pytest
 
 from casense.channel import Target, TargetScene, sigma_for_snr, simulate_channel_info
 from casense.config import CaConfig, Comb, Scheme, make_table3_config, with_scheme
-from casense.errors import SchemeMismatch, VelocityFusionConstraintViolated
+from casense.errors import (
+    CasenseError,
+    InvalidSolverOptions,
+    NonFiniteSpectrum,
+    SchemeMismatch,
+    VelocityFusionConstraintViolated,
+)
 from casense.estimators import (
     PowerSpectrum,
     SolverOptions,
@@ -12,6 +18,7 @@ from casense.estimators import (
     estimate_any_scheme,
     estimate_band_range,
     estimate_band_velocity,
+    peak_estimate,
     range_spectrum_block,
     range_spectrum_comb_cs,
     top_k_peaks,
@@ -283,3 +290,38 @@ def test_threshold_region_peak_bins_pinned(table3, snr_db, seed, range_bin, velo
     )
     r, v = estimate_any_scheme(d_low, d_high, table3)
     assert (r.peak_bin, v.peak_bin) == (range_bin, velocity_bin)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda_scale", float("nan")),
+        ("lambda_scale", float("inf")),
+        ("lambda_scale", -0.1),
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+        ("tol", -1e-6),
+        ("max_iters", 0),
+        ("max_iters", -3),
+        ("max_iters", 2.5),
+        ("max_iters", 200.0),
+        ("max_iters", True),
+    ],
+)
+def test_solver_options_reject_bad_values(field, value):
+    with pytest.raises(InvalidSolverOptions) as info:
+        SolverOptions(**{field: value})
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
+    assert field in str(info.value)
+
+
+def test_solver_options_accept_boundary_values():
+    SolverOptions(lambda_scale=0.0, max_iters=1, tol=0.0)
+    SolverOptions(max_iters=np.int64(5))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_peak_estimate_rejects_non_finite_spectrum(bad):
+    values = np.array([0.1, 0.5, bad, 0.2])
+    with pytest.raises(NonFiniteSpectrum):
+        peak_estimate(PowerSpectrum(values, 1.0), "range")

@@ -1,6 +1,14 @@
+import functools
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from casense import recovery
 from casense.errors import DimensionMismatch
 from casense.fusion import build_range_selection, build_velocity_selection
 from casense.recovery import (
@@ -329,8 +337,154 @@ def test_fista_kernel_matches_gather_scatter_reference(direction, mask_kind, bat
         d, lam = d[:, 0], float(lam[0])
     # tol 1e-6 stops several of these instances early; tol 0 runs to max_iters
     for max_iters, tol in ((400, 1e-6), (60, 0.0)):
-        x_ref, it_ref = gather_scatter_fista(op, d, lam, max_iters, tol, momentum)
         x, it = fista_iterations(op, d, lam, max_iters, tol, momentum)
+        # every column stops on its own, so each is compared with its own single-column run
+        if batch is None:
+            x_ref, it_ref = gather_scatter_fista(op, d, lam, max_iters, tol, momentum)
+        else:
+            refs = [
+                gather_scatter_fista(op, d[:, c], float(lam[c]), max_iters, tol, momentum)
+                for c in range(cols)
+            ]
+            x_ref = np.stack([r[0] for r in refs], axis=1)
+            it_ref = max(r[1] for r in refs)
         assert x.shape == x_ref.shape
         assert it == it_ref
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+def test_fista_rejects_fewer_than_one_iteration():
+    op = SensingOperator(n=16, direction=FORWARD, row_mask=build_range_selection(4, 16))
+    with pytest.raises(ValueError):
+        fista_iterations(op, np.ones(4, complex), 0.1, 0, 1e-6)
+
+
+INVARIANCE_COLUMNS = 40
+INVARIANCE_ITERS = 300  # with tol 1e-6 some columns stop early and some run to the cap
+
+
+@functools.lru_cache(maxsize=None)
+def invariance_problem(direction, mask_kind, momentum):
+    """A 40-column problem and each column's single-column solve."""
+    n = 64
+    mask = build_range_selection(16, n) if mask_kind == "leading" else build_velocity_selection(4, n)
+    op = SensingOperator(n=n, direction=direction, row_mask=mask)
+    rng = np.random.default_rng(23)
+    x_true = np.zeros((n, INVARIANCE_COLUMNS), complex)
+    for c in range(INVARIANCE_COLUMNS):
+        x_true[rng.choice(n // 4, 2, replace=False), c] = rng.standard_normal(2) + 1j
+    shape = (op.n_measurements, INVARIANCE_COLUMNS)
+    d = op.apply(x_true) + 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    d[:, ::8] = 0  # all-zero columns stop after one iteration
+    lam = 0.1 * np.abs(op.adjoint(d)).max(axis=0)
+    singles = [
+        fista_iterations(op, d[:, c], lam[c], INVARIANCE_ITERS, 1e-6, momentum)
+        for c in range(INVARIANCE_COLUMNS)
+    ]
+    return op, d, lam, singles
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("mask_kind", ["leading", "periodic"])
+@pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+def test_invariance_problem_mixes_stopping_iterations(direction, mask_kind, momentum):
+    # so that batched solves move stopped columns out while others run on
+    *_, singles = invariance_problem(direction, mask_kind, momentum)
+    counts = [it for _, it in singles]
+    assert counts[::8] == [1] * 5
+    assert len(set(counts)) >= 2
+    if mask_kind == "leading":  # periodic masks converge in two iterations
+        assert max(counts) == INVARIANCE_ITERS
+
+
+@given(
+    direction=st.sampled_from([FORWARD, INVERSE]),
+    mask_kind=st.sampled_from(["leading", "periodic"]),
+    momentum=st.booleans(),
+    columns=st.lists(
+        st.integers(0, INVARIANCE_COLUMNS - 1), min_size=1, max_size=INVARIANCE_COLUMNS, unique=True
+    ),
+    workers=st.sampled_from([1, 2, 3]),
+)
+def test_batched_column_equals_its_single_column_solve(direction, mask_kind, momentum, columns, workers):
+    # any subset of the columns, in any order, split over any number of blocks
+    op, d, lam, singles = invariance_problem(direction, mask_kind, momentum)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_worker_count", lambda batch: workers)
+        x, iterations = fista_iterations(op, d[:, columns], lam[columns], INVARIANCE_ITERS, 1e-6, momentum)
+    for k, c in enumerate(columns):
+        assert np.array_equal(x[:, k], singles[c][0])
+    assert iterations == max(singles[c][1] for c in columns)
+
+
+def test_blocks_never_call_through_the_fista_attribute(monkeypatch):
+    # wrappers installed on the module attribute (as tracers do) see one call per solve,
+    # made from the calling thread, however many blocks the solve runs
+    op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
+    callers = []
+    original = recovery.fista_iterations
+
+    def counting(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "fista_iterations", counting)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    x, _ = recovery.fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    assert callers == [threading.get_ident()]
+    assert np.array_equal(x, np.stack([s[0] for s in singles], axis=1))
+
+
+def test_concurrent_solves_share_the_pool_without_mixing_results(monkeypatch):
+    # four callers race to create and use the pool, each splitting its batch into
+    # three blocks, with thread switches forced as often as possible
+    op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
+    expected = np.stack([s[0] for s in singles], axis=1)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_pool", None)
+    monkeypatch.setattr(recovery, "_pool_workers", 0)
+    results = [None] * 4
+
+    def solve(k):
+        results[k] = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)[0]
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for x in results:
+        assert np.array_equal(x, expected)
+
+
+def _solve_and_send(queue, op, d, lam):
+    queue.put(fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)[0])
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_solves_after_the_parent_used_the_pool(monkeypatch):
+    op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    expected, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    assert recovery._pool is not None  # the parent's solve ran a block on the pool
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam))
+    child.start()
+    try:
+        got = queue.get(timeout=120)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+    assert np.array_equal(got, expected)
