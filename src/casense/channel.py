@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import BandConfig
 from .errors import EmptyScene, InvalidTarget, VelocityAmbiguityWarning
-from .grids import TxGrid
+from .grids import TxGrid, pilot_index_sets
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,25 @@ def simulate_channel_info(
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
     band = tx.band
-    n = np.arange(band.n_subcarriers)[:, None]
-    m = np.arange(band.n_symbols)[None, :]
+    rows, cols = np.ix_(*pilot_index_sets(band))  # the pilots form this Cartesian product
     t_sym = band.symbol_duration
     r_max = c0 / (2.0 * band.delta_f)
-    values = np.zeros(tx.mask.shape, dtype=complex)
+    pilots = np.zeros((rows.size, cols.size), dtype=complex)
     for tgt in scene.targets:
         if tgt.range_m >= r_max:
             raise InvalidTarget(f"range {tgt.range_m} m is beyond the unambiguous span {r_max} m")
         check_velocity_unambiguous(band, tgt.velocity_mps, c0)
-        k_r = np.exp(-2j * np.pi * n * band.delta_f * 2.0 * tgt.range_m / c0)
-        k_d = np.exp(2j * np.pi * m * t_sym * 2.0 * tgt.velocity_mps * band.fc / c0)
-        values += tgt.gain * (k_r * k_d)
+        k_r = np.exp(-2j * np.pi * rows * band.delta_f * 2.0 * tgt.range_m / c0)
+        k_d = np.exp(2j * np.pi * cols * t_sym * 2.0 * tgt.velocity_mps * band.fc / c0)
+        # ramp * gain, not gain * ramp: numpy rounds a complex product by operand order
+        pilots += (k_r * k_d) * tgt.gain
     if scene.noise_sigma > 0:
+        # Both draws cover the whole grid, so a pilot's noise does not depend on the pattern.
         rng = np.random.default_rng(scene.seed)
-        w = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+        re, im = rng.standard_normal(tx.mask.shape), rng.standard_normal(tx.mask.shape)
+        w = re[rows, cols] + 1j * im[rows, cols]
         w *= scene.noise_sigma / np.sqrt(2.0)
-        values += w / np.where(tx.mask, tx.symbols, 1.0)
-    values[~tx.mask] = 0.0
+        pilots += w / tx.symbols[rows, cols]
+    values = np.zeros(tx.mask.shape, dtype=complex)
+    values[rows, cols] = pilots
     return ChannelInfoMatrix(values=values, mask=tx.mask.copy(), band=band)

@@ -11,10 +11,12 @@ range and velocity spectra bin-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
+    InvalidConfig,
     NonIntegerSpacingRatio,
     PilotIntervalDoesNotDivide,
     SchemeMismatch,
@@ -92,11 +94,10 @@ class BandConfig:
 
     def __post_init__(self):
         if self.n_subcarriers < 2 or self.n_symbols < 2:
-            raise ValueError("need at least 2 subcarriers and 2 symbols")
-        if self.fc <= 0 or self.delta_f <= 0:
-            raise ValueError("fc and delta_f must be positive")
-        if self.t_cp < 0:
-            raise ValueError("t_cp must be nonnegative")
+            raise InvalidConfig("need at least 2 subcarriers and 2 symbols")
+        for name in ("fc", "delta_f"):
+            _require_finite(name, getattr(self, name))
+        _require_finite("t_cp", self.t_cp, positive=False)
         if self.pilot.interval < 1:
             raise PilotIntervalDoesNotDivide(
                 f"pilot interval must be >= 1, got {self.pilot.interval}"
@@ -114,6 +115,13 @@ class BandConfig:
     def symbol_duration(self) -> float:
         """Total OFDM symbol duration T = 1/delta_f + t_cp (s)."""
         return 1.0 / self.delta_f + self.t_cp
+
+
+def _require_finite(name: str, value: float, positive: bool = True) -> None:
+    """Raise InvalidConfig unless value is finite and positive (or nonnegative)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise InvalidConfig(f"{name} {value} must be finite and {kind}")
 
 
 def range_bin_width(c0: float, delta_f: float, n_subcarriers: int) -> float:
@@ -139,6 +147,9 @@ class CaConfig:
     high: BandConfig
     scheme: Scheme
     c0: float = C0_EXACT
+
+    def __post_init__(self):
+        _require_finite("c0", self.c0)
 
     @property
     def k_ratio(self) -> int:
@@ -170,6 +181,9 @@ def validate(cfg: CaConfig) -> CaConfig:
         If band pilot patterns do not match the declared scheme, or a comb
         interval in scheme CA1/CA2 differs from the spacing ratio.
 
+    Non-finite or out-of-range values never get here: BandConfig and
+    CaConfig raise InvalidConfig when built.
+
     Idempotent: ``validate(validate(cfg))`` returns the same object.
     """
     ratio = cfg.high.delta_f / cfg.low.delta_f
@@ -199,8 +213,6 @@ def validate(cfg: CaConfig) -> CaConfig:
                     f"comb interval {band.pilot.interval} must equal the spacing "
                     f"ratio {k} in scheme {cfg.scheme.value}"
                 )
-    if cfg.c0 <= 0:
-        raise ValueError("c0 must be positive")
     return cfg
 
 
@@ -274,7 +286,7 @@ def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
     t1 = t2 * cfg.high.fc / cfg.low.fc
     t_cp_low = t1 - 1.0 / df1
     if t_cp_low < 0:
-        raise ValueError(f"delta_f_high={df2!r} would need negative low-band CP")
+        raise InvalidConfig(f"delta_f_high={df2!r} would need negative low-band CP")
     low = replace(cfg.low, delta_f=df1, t_cp=t_cp_low)
     high = replace(cfg.high, delta_f=df2)
     return validate(CaConfig(low=low, high=high, scheme=cfg.scheme, c0=cfg.c0))
@@ -294,7 +306,7 @@ def _pilot_from_dict(d: dict) -> PilotPattern:
         return Comb(int(d["interval"]))
     if kind == "block":
         return Block(int(d["interval"]))
-    raise ValueError(f"unknown pilot kind {d['kind']!r}")
+    raise InvalidConfig(f"unknown pilot kind {d['kind']!r}")
 
 
 def _band_to_dict(b: BandConfig) -> dict:

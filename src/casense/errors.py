@@ -41,6 +41,10 @@ class UnsupportedScheme(CasenseError):
     """Closed-form CRLB preconditions not met for this configuration."""
 
 
+class InvalidConfig(CasenseError, ValueError):
+    """Band or aggregation parameter is non-finite, out of range, or too small a grid."""
+
+
 class InvalidSnrGrid(CasenseError, ValueError):
     """SNR grid text is malformed, non-finite, empty, or longer than the cap."""
 

@@ -4,12 +4,13 @@
 fuses the two bands' magnitude spectra on a shared bin grid before a single
 peak search:
 
-* range: per-column IDFTs of the block high band plus per-column CS
+* range: per-column IDFTs of the block high band plus per-column FISTA
   recoveries of the rearranged comb low band (leading-rows mask, effective
   spacing K*delta_f_low = delta_f_high);
 * velocity: per-row FFTs of the comb low band plus per-row CS recoveries of
   the block high band (periodic rows mask; the low band's full-resolution
-  peak disambiguates the periodic aliases).
+  peak disambiguates the periodic aliases). That lasso has a closed form,
+  so the comb range recovery is the only iterative solve.
 
 The other three schemes estimate per band with the pattern-appropriate
 primitive and average the two physical estimates. A lone periodic-mask CS
@@ -28,13 +29,17 @@ import numpy as np
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
 from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
-from .fusion import build_range_selection, build_velocity_selection, rearrange_low_band
-from .recovery import FORWARD, INVERSE, SensingOperator, fista_iterations
+from .fusion import build_range_selection, build_velocity_selection
+from .recovery import FORWARD, INVERSE, SensingOperator, fista_iterations, soft_threshold
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the per-vector CS recoveries inside the estimators."""
+    """Knobs for the per-vector CS recoveries inside the estimators.
+
+    lambda_scale sets every recovery's lam; max_iters and tol bound only the
+    comb band's range FISTA, the block band's velocity lasso being closed form.
+    """
 
     lambda_scale: float = 0.1
     max_iters: int = 200
@@ -115,16 +120,6 @@ def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[i
 # per-band spectrum primitives
 # ---------------------------------------------------------------------------
 
-def _cs_magnitude_sum(op: SensingOperator, columns: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Batched FISTA over columns sharing one operator; sum of |x_hat| columns."""
-    if columns.size == 0:
-        return np.zeros(op.n)
-    g0 = np.abs(op.adjoint(columns))
-    lam = opts.lambda_scale * g0.max(axis=0)
-    x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol, momentum=True)
-    return np.abs(x).sum(axis=1)
-
-
 def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """Sum of per-column IDFT magnitudes over the pilot symbol columns.
 
@@ -149,12 +144,12 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
     if not isinstance(d.band.pilot, Comb):
         raise SchemeMismatch("range_spectrum_comb_cs needs a comb-pilot band")
     k = d.band.pilot.interval
-    rearranged = rearrange_low_band(d, k)
     n = d.band.n_subcarriers
-    mask = build_range_selection(rearranged.valid_rows, n)
-    op = SensingOperator(n=n, direction=FORWARD, row_mask=mask)
-    acc = _cs_magnitude_sum(op, rearranged.values[mask, :], opts)
-    return PowerSpectrum(acc, range_bin_width(c0, k * d.band.delta_f, n))
+    op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(n // k, n))
+    columns = d.values[::k]  # the pilot rows, which rearrangement gathers into rows [0, N/K)
+    lam = opts.lambda_scale * np.abs(op.adjoint(columns)).max(axis=0)
+    x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol)
+    return PowerSpectrum(np.abs(x).sum(axis=1), range_bin_width(c0, k * d.band.delta_f, n))
 
 
 def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
@@ -168,14 +163,22 @@ def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
 
 
 def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions) -> PowerSpectrum:
-    """CS recovery of every row of a block band through the periodic mask."""
+    """Lasso recovery of every row of a block band through the periodic mask, in closed form.
+
+    The mask keeps every Q-th row of a unitary inverse DFT, so A*A is the
+    identity on Q-periodic vectors; A*d and its soft threshold are
+    Q-periodic, so soft_threshold(A*d, lam) meets the lasso's optimality
+    conditions exactly (the orthonormal-design lasso). lam is
+    lambda_scale * max|A*d| per row; no iterations run.
+    """
     if not isinstance(d.band.pilot, Block):
         raise SchemeMismatch("velocity_spectrum_block_cs needs a block-pilot band")
     m = d.band.n_symbols
     mask = build_velocity_selection(d.band.pilot.interval, m)
     op = SensingOperator(n=m, direction=INVERSE, row_mask=mask)
-    acc = _cs_magnitude_sum(op, d.values[:, mask].T, opts)
-    return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
+    g = op.adjoint(d.values[:, mask].T)  # (M, N): one column per subcarrier row
+    x = soft_threshold(g, opts.lambda_scale * np.abs(g).max(axis=0))
+    return PowerSpectrum(np.abs(x).sum(axis=1), velocity_bin_width(c0, d.band))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import settings
 
 from casense.config import BandConfig, Block, CaConfig, Comb, Scheme, validate
@@ -27,3 +28,43 @@ def lattice_config(n, m, k, q, scheme):
             c0=3e8,
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# likelihood and scores for one band: the model the Fisher entries come
+# from, for the gradient checks of the CRLB tests
+# ---------------------------------------------------------------------------
+
+def signal_model(tau: float, theta: float, freqs: np.ndarray, times_fc: np.ndarray, h: float):
+    """Noise-free observations s_{m,n} on the (freqs x times_fc) pilot grid."""
+    return h * np.exp(2j * np.pi * times_fc[None, :] * theta) * np.exp(
+        -2j * np.pi * freqs[:, None] * tau
+    )
+
+
+def log_likelihood(
+    y: np.ndarray, tau: float, theta: float, freqs: np.ndarray, times_fc: np.ndarray,
+    h: float, sigma: float,
+) -> float:
+    """Gaussian log-likelihood of the pilot observations (additive constant kept)."""
+    s = signal_model(tau, theta, freqs, times_fc, h)
+    mn = y.size
+    return float(
+        -0.5 * mn * np.log(2.0 * np.pi * sigma * sigma)
+        - 0.5 / (sigma * sigma) * np.sum(np.abs(y - s) ** 2)
+    )
+
+
+def score(
+    y: np.ndarray, tau: float, theta: float, freqs: np.ndarray, times_fc: np.ndarray,
+    h: float, sigma: float,
+) -> tuple[float, float]:
+    """Analytic (d ln p / d tau, d ln p / d theta)."""
+    s = signal_model(tau, theta, freqs, times_fc, h)
+    resid = y - s
+    ds_dtau = -2j * np.pi * freqs[:, None] * s
+    ds_dtheta = 2j * np.pi * times_fc[None, :] * s
+    inv = 1.0 / (sigma * sigma)
+    d_tau = inv * float(np.sum(np.real(np.conj(resid) * ds_dtau)))
+    d_theta = inv * float(np.sum(np.real(np.conj(resid) * ds_dtheta)))
+    return d_tau, d_theta

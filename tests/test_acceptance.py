@@ -18,9 +18,6 @@ from casense.crlb import (
     crlb_closed_form,
     crlb_oracle,
     crlb_sweep,
-    log_likelihood,
-    score,
-    signal_model,
 )
 from casense.estimators import SolverOptions, estimate_any_scheme
 from casense.fusion import build_range_selection, build_velocity_selection
@@ -39,7 +36,7 @@ from casense.recovery import (
     solve_fista,
     solve_omp,
 )
-from conftest import lattice_config
+from conftest import lattice_config, log_likelihood, score, signal_model
 
 FAST = SolverOptions(max_iters=40, tol=1e-4)
 

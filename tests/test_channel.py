@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casense.channel import (
     Target,
@@ -7,7 +9,7 @@ from casense.channel import (
     sigma_for_snr,
     simulate_channel_info,
 )
-from casense.config import make_table3_config
+from casense.config import Scheme, make_table3_config, with_scheme
 from casense.errors import CasenseError, EmptyScene, InvalidTarget, VelocityAmbiguityWarning
 from casense.grids import generate_tx_grid
 
@@ -146,3 +148,44 @@ def test_target_rejects_non_finite_or_out_of_range_values(kwargs):
     with pytest.raises(InvalidTarget) as info:
         Target(**kwargs)
     assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
+
+
+def full_grid_reference(tx, scene, c0):
+    """Every resource element computed, then the non-pilots zeroed: the formula
+    simulate_channel_info restricts to the pilot rows and columns."""
+    band = tx.band
+    n = np.arange(band.n_subcarriers)[:, None]
+    m = np.arange(band.n_symbols)[None, :]
+    values = np.zeros(tx.mask.shape, dtype=complex)
+    for tgt in scene.targets:
+        k_r = np.exp(-2j * np.pi * n * band.delta_f * 2.0 * tgt.range_m / c0)
+        k_d = np.exp(2j * np.pi * m * band.symbol_duration * 2.0 * tgt.velocity_mps * band.fc / c0)
+        values += tgt.gain * (k_r * k_d)
+    if scene.noise_sigma > 0:
+        rng = np.random.default_rng(scene.seed)
+        w = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+        w *= scene.noise_sigma / np.sqrt(2.0)
+        values += w / np.where(tx.mask, tx.symbols, 1.0)
+    values[~tx.mask] = 0.0
+    return values
+
+
+TWO_TARGETS = (Target(117.0, 30.0), Target(61.3, -12.5, 0.4 - 0.3j))
+
+
+@given(
+    scheme=st.sampled_from([Scheme.CA1, Scheme.CA3, Scheme.CA4]),
+    high=st.booleans(),
+    targets=st.sampled_from([TWO_TARGETS[:1], TWO_TARGETS]),
+    sigma=st.sampled_from([0.0, 0.05, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pilot_only_simulation_equals_full_grid_formula(scheme, high, targets, sigma, seed):
+    cfg = with_scheme(make_table3_config(), scheme)
+    band = cfg.high if high else cfg.low
+    tx = generate_tx_grid(band, seed=seed)
+    scene = TargetScene(targets=targets, noise_sigma=sigma, seed=seed + 1)
+    d = simulate_channel_info(tx, scene, c0=cfg.c0)
+    expected = full_grid_reference(tx, scene, cfg.c0)
+    assert d.values.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
+    assert np.array_equal(d.mask, tx.mask)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import re
 import sys
 from dataclasses import replace
@@ -11,12 +12,12 @@ import casense.estimators
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
-from casense.config import CaConfig, make_table3_config, save_config
+from casense.config import CaConfig, config_to_dict, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
 from casense.grids import CSV_FLOAT_FMT
 from casense.harness import simulate_trial_matrices
-from casense.recovery import FORWARD, INVERSE
+from casense.recovery import FORWARD
 
 
 def read_csv(path):
@@ -180,6 +181,38 @@ def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("casense: error: delta_f ratio 3.33")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+BAD_CONFIG_FIELDS = [
+    ("low", "fc", -1.0),
+    ("low", "fc", float("nan")),
+    ("high", "fc", float("inf")),
+    ("high", "delta_f", float("nan")),
+    ("low", "t_cp", float("nan")),
+    ("high", "t_cp", -1e-6),
+    (None, "c0", float("nan")),
+    (None, "c0", 0.0),
+    (None, "c0", float("inf")),
+]
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize(
+    "band, key, value", BAD_CONFIG_FIELDS, ids=[f"{b or 'cfg'}.{k}={v}" for b, k, v in BAD_CONFIG_FIELDS]
+)
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, command, band, key, value):
+    # json writes nan and inf as NaN and Infinity, which json.load reads back
+    doc = config_to_dict(make_table3_config())
+    (doc[band] if band else doc)[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert err.splitlines()[-1].startswith(f"casense: error: {key} ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
@@ -347,7 +380,9 @@ def test_ca1_estimate_simulates_and_solves_once(tmp_path, capsys, monkeypatch, s
     rc = main(["estimate", "--out", str(tmp_path / "shot"), f"--snr={snr}", "--seed", str(seed)])
     assert rc == 0
     assert len(sims) == 1
-    assert sorted(args[0].direction for args in solves) == sorted([FORWARD, INVERSE])
+    # the comb band's range solve is the one iterative solve: the block band's
+    # velocity spectrum is closed form
+    assert [args[0].direction for args in solves] == [FORWARD]
     assert capsys.readouterr().out == expected
 
 
@@ -402,13 +437,27 @@ PINNED_OUTPUTS = [
         ["cmp.csv"],
         "2e884447a9953364ff8ba1b13b6a813f50422a26c45c04323d1ad6415c447a00",
     ),
+    # recorded before the block band's velocity spectrum became closed form
+    (
+        ["estimate", "--out", "est", "--snr=-20", "--seed", "1"],
+        ["est_range.csv", "est_velocity.csv"],
+        "18ddb72f222da8b2c1365fa3778cc77e73bae957c5d74f623d9e1b3fa1adafc1",
+    ),
+    (
+        ["sweep", "--scheme", "CA3", "--out", "sweep3.csv", "--snr=-26:2:-12", "--trials", "2"],
+        ["sweep3.csv"],
+        "22f5852139b458f0057972ba72c9607231b71ec840d7d6a643279a49eb9466e3",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, files, digest",
     PINNED_OUTPUTS,
-    ids=["simulate", "crlb-default", "crlb-delta-f", "sweep", "compare-pilots"],
+    ids=[
+        "simulate", "crlb-default", "crlb-delta-f", "sweep", "compare-pilots",
+        "estimate-ca1-csvs", "sweep-ca3",
+    ],
 )
 def test_cli_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, files, digest):
     monkeypatch.chdir(tmp_path)  # relative --out paths keep stdout free of tmp_path

@@ -9,6 +9,8 @@ from casense.config import (
     CaConfig,
     Comb,
     Scheme,
+    config_from_dict,
+    config_to_dict,
     load_config,
     make_table3_config,
     range_bin_width,
@@ -19,6 +21,8 @@ from casense.config import (
     with_scheme,
 )
 from casense.errors import (
+    CasenseError,
+    InvalidConfig,
     NonIntegerSpacingRatio,
     PilotIntervalDoesNotDivide,
     SchemeMismatch,
@@ -179,10 +183,50 @@ def test_config_file_round_trip(tmp_path):
     assert doc["high"]["pilot"]["kind"] == "comb"
 
 
+NAN, INF = float("nan"), float("inf")
+BAD_BANDS = {
+    "fc=0": dict(fc=0.0),
+    "fc=-1": dict(fc=-1.0),
+    "fc=nan": dict(fc=NAN),
+    "fc=inf": dict(fc=INF),
+    "delta_f=0": dict(delta_f=0.0),
+    "delta_f=nan": dict(delta_f=NAN),
+    "delta_f=inf": dict(delta_f=INF),
+    "t_cp=-1e-9": dict(t_cp=-1e-9),
+    "t_cp=nan": dict(t_cp=NAN),
+    "t_cp=inf": dict(t_cp=INF),
+    "n_subcarriers=1": dict(n_subcarriers=1, pilot=Comb(1)),
+    "n_symbols=1": dict(n_symbols=1, pilot=Comb(1)),
+}
+
+
 def test_band_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        BandConfig(0.0, 30e3, 512, 64, 0.0, Comb(4))
-    with pytest.raises(ValueError):
-        BandConfig(5.9e9, 30e3, 1, 64, 0.0, Comb(1))
-    with pytest.raises(ValueError):
-        BandConfig(5.9e9, 30e3, 512, 64, -1e-9, Comb(4))
+    good = dict(fc=5.9e9, delta_f=30e3, n_subcarriers=512, n_symbols=64, t_cp=0.0, pilot=Comb(4))
+    for case, fields in BAD_BANDS.items():
+        with pytest.raises(InvalidConfig) as info:
+            BandConfig(**{**good, **fields})
+        assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError), case
+
+
+@pytest.mark.parametrize("c0", [0.0, -3e8, NAN, INF])
+def test_ca_config_rejects_bad_c0_where_built(c0):
+    cfg = make_table3_config()
+    with pytest.raises(InvalidConfig):
+        CaConfig(low=cfg.low, high=cfg.high, scheme=cfg.scheme, c0=c0)
+    with pytest.raises(InvalidConfig):
+        config_from_dict({**config_to_dict(cfg), "c0": c0})
+
+
+def test_high_band_spacing_needing_a_negative_cp_is_invalid_config():
+    cfg = make_table3_config()
+    # fc ratio 2 < spacing ratio 4: T1 = 2 T2 is shorter than the low band's 1/delta_f
+    close = CaConfig(low=replace(cfg.low, fc=12e9), high=cfg.high, scheme=cfg.scheme, c0=cfg.c0)
+    with pytest.raises(InvalidConfig):
+        with_high_band_spacing(close, 120e3)
+
+
+def test_unknown_pilot_kind_is_invalid_config():
+    doc = config_to_dict(make_table3_config())
+    doc["low"]["pilot"]["kind"] = "diamond"
+    with pytest.raises(InvalidConfig, match="unknown pilot kind 'diamond'"):
+        config_from_dict(doc)

@@ -20,14 +20,11 @@ from casense.crlb import (
     crlb_report_for_snr,
     crlb_sweep,
     fisher_oracle,
-    log_likelihood,
     report_from_fisher,
-    score,
     sigma_from_snr,
-    signal_model,
 )
 from casense.errors import SingularFisher, UnsupportedScheme
-from conftest import lattice_config
+from conftest import lattice_config, log_likelihood, score, signal_model
 
 
 def test_band_fisher_tiny_full_grid_by_hand():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from casense.channel import Target, TargetScene, sigma_for_snr, simulate_channel_info
-from casense.config import CaConfig, Comb, Scheme, make_table3_config, with_scheme
+from casense.channel import (
+    ChannelInfoMatrix,
+    Target,
+    TargetScene,
+    sigma_for_snr,
+    simulate_channel_info,
+)
+from casense.config import BandConfig, Block, CaConfig, Comb, Scheme, make_table3_config, with_scheme
 from casense.errors import (
     CasenseError,
     InvalidSolverOptions,
@@ -22,9 +30,19 @@ from casense.estimators import (
     range_spectrum_block,
     range_spectrum_comb_cs,
     top_k_peaks,
+    velocity_spectrum_block_cs,
 )
+from casense.fusion import build_velocity_selection
 from casense.grids import generate_tx_grid
 from casense.harness import simulate_trial_matrices
+from casense.recovery import (
+    INVERSE,
+    LassoProblem,
+    SensingOperator,
+    certify_kkt,
+    fista_iterations,
+    soft_threshold,
+)
 
 C0 = 3e8
 
@@ -325,3 +343,70 @@ def test_peak_estimate_rejects_non_finite_spectrum(bad):
     values = np.array([0.1, 0.5, bad, 0.2])
     with pytest.raises(NonFiniteSpectrum):
         peak_estimate(PowerSpectrum(values, 1.0), "range")
+
+
+def _divisor_pairs(ms):
+    return [(m, q) for m in ms for q in range(1, m + 1) if m % q == 0]
+
+
+def _velocity_problem(m, q, rows, seed):
+    """A block band of `rows` subcarriers with random complex pilot columns."""
+    band = BandConfig(24e9, 120e3, rows, m, 1.33e-6, Block(q))
+    rng = np.random.default_rng(seed)
+    values = np.zeros((rows, m), dtype=complex)
+    values[:, ::q] = rng.standard_normal((rows, m // q)) + 1j * rng.standard_normal((rows, m // q))
+    mask = np.zeros((rows, m), dtype=bool)
+    mask[:, ::q] = True
+    op = SensingOperator(n=m, direction=INVERSE, row_mask=build_velocity_selection(q, m))
+    return ChannelInfoMatrix(values, mask, band), op, values[:, ::q].T
+
+
+def _fista_reference(op, cols, lambda_scale):
+    lam = lambda_scale * np.abs(op.adjoint(cols)).max(axis=0)
+    x, _ = fista_iterations(op, cols, lam, 200, 1e-6)
+    return np.abs(x).sum(axis=1)
+
+
+@given(
+    mq=st.sampled_from(_divisor_pairs([16, 64, 256])),
+    rows=st.integers(2, 9),
+    lambda_scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_velocity_spectrum_is_fista_bit_for_bit(mq, rows, lambda_scale, seed):
+    # the unitary scale 1/sqrt(M) is a power of two, so scaling before or after the FFT agrees
+    d, op, cols = _velocity_problem(*mq, rows, seed)
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
+    assert np.array_equal(spectrum.values, _fista_reference(op, cols, lambda_scale))
+
+
+@given(
+    mq=st.sampled_from(_divisor_pairs([48, 60])),
+    rows=st.integers(2, 9),
+    lambda_scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_velocity_spectrum_matches_fista_to_rounding(mq, rows, lambda_scale, seed):
+    # FISTA scales by 1/sqrt(M) before its FFT and the adjoint after it: last-bit differences,
+    # measured against the unthresholded (lambda = 0) spectrum
+    d, op, cols = _velocity_problem(*mq, rows, seed)
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
+    scale = np.abs(op.adjoint(cols)).sum(axis=1).max()
+    assert np.abs(spectrum.values - _fista_reference(op, cols, lambda_scale)).max() <= 1e-11 * scale
+
+
+@given(
+    mq=st.sampled_from(_divisor_pairs([16, 48, 60, 64, 256])),
+    rows=st.integers(2, 9),
+    lambda_scale=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_velocity_solution_certifies_kkt_per_row(mq, rows, lambda_scale, seed):
+    d, op, cols = _velocity_problem(*mq, rows, seed)
+    g = op.adjoint(cols)
+    lam = lambda_scale * np.abs(g).max(axis=0)
+    x = soft_threshold(g, lam)
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
+    assert np.array_equal(spectrum.values, np.abs(x).sum(axis=1))
+    for j in range(rows):
+        assert certify_kkt(LassoProblem(op, cols[:, j], lam[j]), x[:, j]) <= 1e-12 * lam[j]
