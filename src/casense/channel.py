@@ -10,14 +10,15 @@ channel information matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BandConfig
-from .errors import EmptyScene, InvalidTarget, VelocityAmbiguityWarning
-from .grids import TxGrid, pilot_index_sets
+from .errors import EmptyScene, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning
+from .grids import TxGrid, pilot_index_sets, pilot_slices
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class TargetScene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidNoiseLevel(f"noise_sigma {self.noise_sigma} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,20 @@ def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     """Noise std giving per-pilot-sample SNR |gain|^2 / sigma^2 = 10^(snr/10).
 
     sigma is the total standard deviation of the circular complex noise
-    (E|w|^2 = sigma^2).
+    (E|w|^2 = sigma^2). An SNR of +inf, or one so high that sigma
+    underflows, gives 0, the noiseless limit. Raises InvalidNoiseLevel when
+    sigma is not finite: a NaN SNR, or one so low that sigma overflows.
     """
     g = abs(gain)
     if g == 0:
         raise ValueError("gain must be nonzero")
-    return g * 10.0 ** (-snr_db / 20.0)
+    try:
+        sigma = g * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        sigma = math.inf
+    if not sigma < math.inf:
+        raise InvalidNoiseLevel(f"snr {snr_db} dB has no finite noise std (got {sigma})")
+    return sigma
 
 
 def check_velocity_unambiguous(band: BandConfig, velocity_mps: float, c0: float) -> None:
@@ -101,10 +110,12 @@ def simulate_channel_info(
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
     band = tx.band
-    rows, cols = np.ix_(*pilot_index_sets(band))  # the pilots form this Cartesian product
+    pilots = pilot_slices(band)  # every gather and scatter below is a basic-slice view
+    n_idx, m_idx = pilot_index_sets(band)
+    rows, cols = n_idx[:, None], m_idx[None, :]
     t_sym = band.symbol_duration
     r_max = c0 / (2.0 * band.delta_f)
-    pilots = np.zeros((rows.size, cols.size), dtype=complex)
+    h = np.zeros((n_idx.size, m_idx.size), dtype=complex)  # the pilots, row-major
     for tgt in scene.targets:
         if tgt.range_m >= r_max:
             raise InvalidTarget(f"range {tgt.range_m} m is beyond the unambiguous span {r_max} m")
@@ -112,14 +123,14 @@ def simulate_channel_info(
         k_r = np.exp(-2j * np.pi * rows * band.delta_f * 2.0 * tgt.range_m / c0)
         k_d = np.exp(2j * np.pi * cols * t_sym * 2.0 * tgt.velocity_mps * band.fc / c0)
         # ramp * gain, not gain * ramp: numpy rounds a complex product by operand order
-        pilots += (k_r * k_d) * tgt.gain
+        h += (k_r * k_d) * tgt.gain
     if scene.noise_sigma > 0:
         # Both draws cover the whole grid, so a pilot's noise does not depend on the pattern.
         rng = np.random.default_rng(scene.seed)
         re, im = rng.standard_normal(tx.mask.shape), rng.standard_normal(tx.mask.shape)
-        w = re[rows, cols] + 1j * im[rows, cols]
+        w = re[pilots] + 1j * im[pilots]
         w *= scene.noise_sigma / np.sqrt(2.0)
-        pilots += w / tx.symbols[rows, cols]
+        h += w / tx.symbols[pilots]
     values = np.zeros(tx.mask.shape, dtype=complex)
-    values[rows, cols] = pilots
+    values[pilots] = h
     return ChannelInfoMatrix(values=values, mask=tx.mask.copy(), band=band)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -93,6 +94,13 @@ class BandConfig:
     pilot: PilotPattern
 
     def __post_init__(self):
+        for name, value in (
+            ("n_subcarriers", self.n_subcarriers),
+            ("n_symbols", self.n_symbols),
+            ("pilot interval", self.pilot.interval),
+        ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfig(f"{name} {value!r} must be an integer")
         if self.n_subcarriers < 2 or self.n_symbols < 2:
             raise InvalidConfig("need at least 2 subcarriers and 2 symbols")
         for name in ("fc", "delta_f"):
@@ -300,12 +308,36 @@ def _pilot_to_dict(p: PilotPattern) -> dict:
     return {"kind": "comb" if isinstance(p, Comb) else "block", "interval": p.interval}
 
 
-def _pilot_from_dict(d: dict) -> PilotPattern:
-    kind = d["kind"].lower()
+def _section(d, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """d itself, after checking it is an object holding every required key and no other.
+
+    where is the section's dotted path in the document, "" for the top level.
+    """
+    prefix = f"{where}." if where else ""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where or 'config'} {d!r} must be an object")
+    missing = [prefix + k for k in required if k not in d]
+    if missing:
+        raise InvalidConfig(f"config is missing {', '.join(missing)}")
+    unknown = sorted(prefix + str(k) for k in set(d) - set(required) - set(optional))
+    if unknown:
+        raise InvalidConfig(f"config has unknown key(s) {', '.join(unknown)}")
+    return d
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{path} {value!r} must be a number")
+    return float(value)
+
+
+def _pilot_from_dict(d, where: str) -> PilotPattern:
+    d = _section(d, where, ("kind", "interval"))
+    kind = d["kind"].lower() if isinstance(d["kind"], str) else None
     if kind == "comb":
-        return Comb(int(d["interval"]))
+        return Comb(d["interval"])
     if kind == "block":
-        return Block(int(d["interval"]))
+        return Block(d["interval"])
     raise InvalidConfig(f"unknown pilot kind {d['kind']!r}")
 
 
@@ -320,14 +352,16 @@ def _band_to_dict(b: BandConfig) -> dict:
     }
 
 
-def _band_from_dict(d: dict) -> BandConfig:
+def _band_from_dict(d, where: str) -> BandConfig:
+    """Integers are taken as they are, so BandConfig rejects 4.7, 4.0 and true."""
+    d = _section(d, where, ("fc", "delta_f", "n_subcarriers", "n_symbols", "t_cp", "pilot"))
     return BandConfig(
-        fc=float(d["fc"]),
-        delta_f=float(d["delta_f"]),
-        n_subcarriers=int(d["n_subcarriers"]),
-        n_symbols=int(d["n_symbols"]),
-        t_cp=float(d["t_cp"]),
-        pilot=_pilot_from_dict(d["pilot"]),
+        fc=_number(d["fc"], f"{where}.fc"),
+        delta_f=_number(d["delta_f"], f"{where}.delta_f"),
+        n_subcarriers=d["n_subcarriers"],
+        n_symbols=d["n_symbols"],
+        t_cp=_number(d["t_cp"], f"{where}.t_cp"),
+        pilot=_pilot_from_dict(d["pilot"], f"{where}.pilot"),
     )
 
 
@@ -340,13 +374,24 @@ def config_to_dict(cfg: CaConfig) -> dict:
     }
 
 
-def config_from_dict(d: dict) -> CaConfig:
+def config_from_dict(d) -> CaConfig:
+    """The validated config a JSON document describes, taken exactly.
+
+    Every key is required except c0 (default C0_EXACT), unknown keys are
+    rejected, integers must be JSON integers and numbers JSON numbers; any
+    other document raises InvalidConfig.
+    """
+    d = _section(d, "", ("scheme", "low", "high"), optional=("c0",))
+    try:
+        scheme = Scheme(d["scheme"])
+    except ValueError:
+        raise InvalidConfig(f"unknown scheme {d['scheme']!r}") from None
     return validate(
         CaConfig(
-            low=_band_from_dict(d["low"]),
-            high=_band_from_dict(d["high"]),
-            scheme=Scheme(d["scheme"]),
-            c0=float(d.get("c0", C0_EXACT)),
+            low=_band_from_dict(d["low"], "low"),
+            high=_band_from_dict(d["high"], "high"),
+            scheme=scheme,
+            c0=_number(d["c0"], "c0") if "c0" in d else C0_EXACT,
         )
     )
 
@@ -359,4 +404,8 @@ def save_config(cfg: CaConfig, path) -> None:
 
 def load_config(path) -> CaConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"config {path} is not JSON: {exc}") from None
+    return config_from_dict(doc)

@@ -19,13 +19,14 @@ the total complex standard deviation, so sigma = noise_sigma / sqrt(2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import sigma_for_snr
 from .config import Block, CaConfig, Comb, BandConfig, Scheme, validate, with_high_band_spacing
-from .errors import SingularFisher, UnsupportedScheme
+from .errors import InvalidNoiseLevel, SingularFisher, UnsupportedScheme
 from .grids import pilot_index_sets
 
 TWO_PI = 2.0 * np.pi
@@ -40,8 +41,10 @@ class CrlbInputs:
     sigma: float = 1.0  # per-component noise std
 
     def __post_init__(self):
-        if self.h <= 0 or self.sigma <= 0:
-            raise ValueError("h and sigma must be positive")
+        if self.h <= 0:
+            raise ValueError("h must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidNoiseLevel(f"sigma {self.sigma} must be finite and positive for a bound")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,10 @@ class InvalidTarget(CasenseError, ValueError):
     """Target range or velocity non-finite, range negative or beyond the span, or gain zero."""
 
 
+class InvalidNoiseLevel(CasenseError, ValueError):
+    """Noise std is NaN, infinite or negative (zero for a CRLB), or an SNR has no finite std."""
+
+
 class NonFiniteSpectrum(CasenseError, ValueError):
     """Spectrum holds NaN or inf, so it has no meaningful peak."""
 

@@ -10,12 +10,14 @@ peak search:
 * velocity: per-row FFTs of the comb low band plus per-row CS recoveries of
   the block high band (periodic rows mask; the low band's full-resolution
   peak disambiguates the periodic aliases). That lasso has a closed form,
-  so the comb range recovery is the only iterative solve.
+  computed on one period of M/Q bins and tiled, so the comb range recovery
+  is the only iterative solve.
 
 The other three schemes estimate per band with the pattern-appropriate
 primitive and average the two physical estimates. A lone periodic-mask CS
-spectrum carries exact Q-fold aliases, so its peak search is restricted to
-the band's unambiguous prefix of M/Q bins.
+spectrum carries exact Q-fold aliases (its period is tiled, so this holds
+bit for bit for every M), so its peak search is restricted to the band's
+unambiguous prefix of M/Q bins.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
 from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
-from .fusion import build_range_selection, build_velocity_selection
-from .recovery import FORWARD, INVERSE, SensingOperator, fista_iterations, soft_threshold
+from .fusion import build_range_selection
+from .recovery import FORWARD, SensingOperator, fista_iterations, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,23 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
     Q-periodic, so soft_threshold(A*d, lam) meets the lasso's optimality
     conditions exactly (the orthonormal-design lasso). lam is
     lambda_scale * max|A*d| per row; no iterations run.
+
+    A*d of a subcarrier row is the M-point FFT of the row itself (scaled by
+    1/sqrt(M)), whose off-pilot entries are the zeros a ChannelInfoMatrix
+    holds off its mask. Only its first period of M/Q bins is kept: lam, the
+    threshold and the sum over rows run on it, and the returned spectrum is
+    that period tiled Q times, so it repeats exactly every M/Q bins for
+    every M. For power-of-two M the FFT is itself bitwise periodic, so the
+    result equals the full-width computation bit for bit.
     """
     if not isinstance(d.band.pilot, Block):
         raise SchemeMismatch("velocity_spectrum_block_cs needs a block-pilot band")
-    m = d.band.n_symbols
-    mask = build_velocity_selection(d.band.pilot.interval, m)
-    op = SensingOperator(n=m, direction=INVERSE, row_mask=mask)
-    g = op.adjoint(d.values[:, mask].T)  # (M, N): one column per subcarrier row
+    m, q = d.band.n_symbols, d.band.pilot.interval
+    period = np.fft.fft(d.values, axis=1)[:, : m // q]
+    # (M/Q, N) and contiguous, so the row sum adds in the order of the (M, N) layout
+    g = np.ascontiguousarray(period.T) / np.sqrt(m)
     x = soft_threshold(g, opts.lambda_scale * np.abs(g).max(axis=0))
-    return PowerSpectrum(np.abs(x).sum(axis=1), velocity_bin_width(c0, d.band))
+    return PowerSpectrum(np.tile(np.abs(x).sum(axis=1), q), velocity_bin_width(c0, d.band))
 
 
 # ---------------------------------------------------------------------------

@@ -28,45 +28,48 @@ class TxGrid:
     band: BandConfig
 
 
+def pilot_slices(band: BandConfig) -> tuple[slice, slice]:
+    """(subcarrier slice, symbol slice) whose product is the band's pilot positions.
+
+    Comb with interval K: (::K, :), subcarriers {0, K, ..., N-K} on all M
+    symbols. Block with interval Q: (:, ::Q), all N subcarriers on symbols
+    {0, Q, ..., M-Q}. Every pilot grid is addressed through this pair: a
+    basic-slice view of an (N, M) array holds the pilots in row-major order.
+    """
+    if isinstance(band.pilot, Comb):
+        return slice(None, None, band.pilot.interval), slice(None)
+    return slice(None), slice(None, None, band.pilot.interval)
+
+
 def pilot_mask(band: BandConfig) -> np.ndarray:
     """Boolean (N, M) mask of pilot resource elements."""
-    n = np.arange(band.n_subcarriers)
-    m = np.arange(band.n_symbols)
-    if isinstance(band.pilot, Comb):
-        return ((n % band.pilot.interval) == 0)[:, None] & np.ones(
-            (1, band.n_symbols), dtype=bool
-        )
-    return np.ones((band.n_subcarriers, 1), dtype=bool) & ((m % band.pilot.interval) == 0)[None, :]
+    mask = np.zeros((band.n_subcarriers, band.n_symbols), dtype=bool)
+    mask[pilot_slices(band)] = True
+    return mask
 
 
 def pilot_index_sets(band: BandConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact (subcarrier indices, symbol indices) occupied by pilots.
 
-    Comb with interval K: subcarriers {0, K, ..., N-K}, all M symbols.
-    Block with interval Q: all N subcarriers, symbols {0, Q, ..., M-Q}.
-    These are the index sets the Fisher-information sums run over.
+    The index arrays of ``pilot_slices``; the Fisher-information sums and the
+    channel's phase ramps run over them.
     """
-    if isinstance(band.pilot, Comb):
-        return (
-            np.arange(0, band.n_subcarriers, band.pilot.interval),
-            np.arange(band.n_symbols),
-        )
-    return (
-        np.arange(band.n_subcarriers),
-        np.arange(0, band.n_symbols, band.pilot.interval),
-    )
+    rows, cols = pilot_slices(band)
+    return np.arange(band.n_subcarriers)[rows], np.arange(band.n_symbols)[cols]
 
 
 def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
     """Fill pilot positions with uniformly random QPSK symbols.
 
-    Deterministic per seed. Off-pilot positions are exactly zero.
+    Deterministic per seed: the draws fill the pilots in row-major order.
+    Off-pilot positions are exactly zero.
     """
     rng = np.random.default_rng(seed)
-    mask = pilot_mask(band)
-    symbols = np.zeros(mask.shape, dtype=complex)
-    symbols[mask] = _QPSK[rng.integers(0, 4, size=int(mask.sum()))]
-    return TxGrid(symbols=symbols, mask=mask, band=band)
+    pilots = pilot_slices(band)
+    symbols = np.zeros((band.n_subcarriers, band.n_symbols), dtype=complex)
+    view = symbols[pilots]
+    view[...] = _QPSK[rng.integers(0, 4, size=view.shape)]
+    return TxGrid(symbols=symbols, mask=pilot_mask(band), band=band)
 
 
 def write_csv(path, header, rows) -> None:

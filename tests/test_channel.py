@@ -10,7 +10,13 @@ from casense.channel import (
     simulate_channel_info,
 )
 from casense.config import Scheme, make_table3_config, with_scheme
-from casense.errors import CasenseError, EmptyScene, InvalidTarget, VelocityAmbiguityWarning
+from casense.errors import (
+    CasenseError,
+    EmptyScene,
+    InvalidNoiseLevel,
+    InvalidTarget,
+    VelocityAmbiguityWarning,
+)
 from casense.grids import generate_tx_grid
 
 C0 = 3e8
@@ -129,6 +135,27 @@ def test_target_validation():
         Target(10.0, 0.0, gain=0.0)
     with pytest.raises(ValueError):
         TargetScene(targets=(Target(1.0, 1.0),), noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_target_scene_rejects_non_finite_or_negative_noise(sigma):
+    with pytest.raises(InvalidNoiseLevel) as info:
+        TargetScene(targets=(Target(1.0, 1.0),), noise_sigma=sigma)
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("snr_db", [-7000.0, -6200.0, float("nan"), -float("inf")])
+def test_sigma_for_snr_rejects_snr_without_a_finite_noise_level(snr_db):
+    with pytest.raises(InvalidNoiseLevel) as info:
+        sigma_for_snr(snr_db, 1.0)
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
+
+
+def test_sigma_for_snr_keeps_finite_extremes():
+    assert sigma_for_snr(-6000.0, 1.0) == 1e300
+    assert sigma_for_snr(6000.0, 1.0) == 1e-300
+    assert sigma_for_snr(7000.0, 1.0) == 0.0  # underflows to the noiseless limit, as +inf does
+    assert sigma_for_snr(float("inf"), 1.0) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,58 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, command, band, key,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+INEXACT_CONFIG_FILES = {
+    "interval=4.7": (("low", "pilot", "interval"), 4.7),
+    "interval=true": (("low", "pilot", "interval"), True),
+    "n_subcarriers=512.9": (("high", "n_subcarriers"), 512.9),
+    "missing low.t_cp": (("low", "t_cp"), None),
+    "unknown high.offset": (("high", "offset"), 0),
+}
+
+
+@pytest.mark.parametrize("path, value", INEXACT_CONFIG_FILES.values(), ids=INEXACT_CONFIG_FILES)
+def test_inexact_config_file_is_a_usage_error(tmp_path, capsys, path, value):
+    # value None deletes the key
+    doc = config_to_dict(make_table3_config())
+    *parents, key = path
+    section = doc
+    for p in parents:
+        section = section[p]
+    if value is None:
+        del section[key]
+    else:
+        section[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert key in err.splitlines()[-1]  # the message names the field, not a later symptom
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "command, snr, message",
+    [
+        ("estimate", "-7000", "snr -7000"),
+        ("sweep", "-7000", "snr -7000"),
+        ("crlb", "-7000", "snr -7000"),
+        ("crlb", "7000", "sigma 0.0"),  # sigma underflows to 0: no finite bound
+    ],
+)
+def test_snr_without_a_usable_noise_level_is_a_usage_error(tmp_path, capsys, command, snr, message):
+    trials = ["--trials", "1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", str(tmp_path / "o"), f"--snr={snr}", *trials])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"casense: error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_subcommand(tmp_path, capsys):
     out = tmp_path / "shot"
     rc = main(

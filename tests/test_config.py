@@ -1,9 +1,11 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from casense.config import (
+    C0_EXACT,
     BandConfig,
     Block,
     CaConfig,
@@ -230,3 +232,94 @@ def test_unknown_pilot_kind_is_invalid_config():
     doc["low"]["pilot"]["kind"] = "diamond"
     with pytest.raises(InvalidConfig, match="unknown pilot kind 'diamond'"):
         config_from_dict(doc)
+
+
+def _table3_doc():
+    return config_to_dict(make_table3_config())
+
+
+def _section_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# (path to the value, replacement): every value a JSON config can hold that is not the
+# integer, number or string the field takes
+INEXACT_CONFIG_VALUES = {
+    "interval=4.7": (("low", "pilot", "interval"), 4.7),
+    "interval=4.0": (("low", "pilot", "interval"), 4.0),
+    "interval=true": (("high", "pilot", "interval"), True),
+    "interval='4'": (("high", "pilot", "interval"), "4"),
+    "n_subcarriers=512.9": (("low", "n_subcarriers"), 512.9),
+    "n_subcarriers=2.5": (("high", "n_subcarriers"), 2.5),
+    "n_symbols=null": (("high", "n_symbols"), None),
+    "n_symbols=false": (("low", "n_symbols"), False),
+    "fc='5.9e9'": (("low", "fc"), "5.9e9"),
+    "delta_f=true": (("high", "delta_f"), True),
+    "t_cp=null": (("low", "t_cp"), None),
+    "c0='3e8'": (("c0",), "3e8"),
+    "kind=1": (("low", "pilot", "kind"), 1),
+    "scheme='CA9'": (("scheme",), "CA9"),
+    "scheme=3": (("scheme",), 3),
+    "low=[]": (("low",), []),
+    "pilot='comb'": (("high", "pilot"), "comb"),
+}
+
+
+@pytest.mark.parametrize("path, value", INEXACT_CONFIG_VALUES.values(), ids=INEXACT_CONFIG_VALUES)
+def test_config_from_dict_takes_values_exactly(path, value):
+    doc = _table3_doc()
+    _section_at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(InvalidConfig) as info:
+        config_from_dict(doc)
+    assert isinstance(info.value, ValueError)
+
+
+MISSING_CONFIG_KEYS = [
+    ("scheme",), ("low",), ("high",),
+    *[(band, key) for band in ("low", "high")
+      for key in ("fc", "delta_f", "n_subcarriers", "n_symbols", "t_cp", "pilot")],
+    ("low", "pilot", "kind"), ("high", "pilot", "interval"),
+]
+
+
+@pytest.mark.parametrize("path", MISSING_CONFIG_KEYS, ids=[".".join(p) for p in MISSING_CONFIG_KEYS])
+def test_config_from_dict_requires_every_key_but_c0(path):
+    doc = _table3_doc()
+    del _section_at(doc, path[:-1])[path[-1]]
+    with pytest.raises(InvalidConfig, match=f"missing {'.'.join(path)}"):
+        config_from_dict(doc)
+
+
+def test_config_from_dict_defaults_only_c0():
+    doc = _table3_doc()
+    del doc["c0"]
+    assert config_from_dict(doc) == replace(make_table3_config(), c0=C0_EXACT)
+
+
+@pytest.mark.parametrize("path", [(), ("low",), ("high", "pilot")], ids=["cfg", "low", "high.pilot"])
+def test_config_from_dict_rejects_unknown_keys(path):
+    doc = _table3_doc()
+    _section_at(doc, path)["offset"] = 0
+    with pytest.raises(InvalidConfig, match="unknown key"):
+        config_from_dict(doc)
+
+
+def test_load_config_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scheme": "CA1",')
+    with pytest.raises(InvalidConfig, match="is not JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(n_subcarriers=512.0), dict(n_symbols=True), dict(pilot=Comb(4.0)), dict(pilot=Block(True))],
+    ids=["n_subcarriers=512.0", "n_symbols=True", "Comb(4.0)", "Block(True)"],
+)
+def test_band_config_takes_integers_exactly(fields):
+    good = dict(fc=5.9e9, delta_f=30e3, n_subcarriers=512, n_symbols=64, t_cp=0.0, pilot=Comb(4))
+    with pytest.raises(InvalidConfig):
+        BandConfig(**{**good, **fields})
+    assert BandConfig(**{**good, "n_subcarriers": np.int64(512)}).n_subcarriers == 512

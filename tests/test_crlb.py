@@ -23,7 +23,7 @@ from casense.crlb import (
     report_from_fisher,
     sigma_from_snr,
 )
-from casense.errors import SingularFisher, UnsupportedScheme
+from casense.errors import InvalidNoiseLevel, SingularFisher, UnsupportedScheme
 from conftest import lattice_config, log_likelihood, score, signal_model
 
 
@@ -216,3 +216,10 @@ def test_crlb_inputs_validation():
         CrlbInputs(cfg, h=0.0, sigma=1.0)
     with pytest.raises(ValueError):
         CrlbInputs(cfg, h=1.0, sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_crlb_inputs_reject_a_noise_level_without_a_finite_bound(sigma):
+    with pytest.raises(InvalidNoiseLevel) as info:
+        CrlbInputs(make_table3_config(), h=1.0, sigma=sigma)
+    assert isinstance(info.value, ValueError)

@@ -398,15 +398,41 @@ def test_closed_form_velocity_spectrum_matches_fista_to_rounding(mq, rows, lambd
 @given(
     mq=st.sampled_from(_divisor_pairs([16, 48, 60, 64, 256])),
     rows=st.integers(2, 9),
+    lambda_scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_velocity_spectrum_is_q_periodic_full_width_formula(mq, rows, lambda_scale, seed):
+    # a power-of-two FFT of a zero-stuffed row is bitwise Q-periodic; a mixed-radix one
+    # only to rounding, so the tiled first period differs from the full width in last bits
+    m, q = mq
+    d, op, cols = _velocity_problem(m, q, rows, seed)
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
+    assert np.array_equal(spectrum, np.tile(spectrum[: m // q], q))
+    g = op.adjoint(cols)
+    full_width = np.abs(soft_threshold(g, lambda_scale * np.abs(g).max(axis=0))).sum(axis=1)
+    if m & (m - 1) == 0:
+        assert np.array_equal(spectrum, full_width)
+    else:
+        scale = np.abs(g).sum(axis=1).max()  # the unthresholded (lambda = 0) spectrum's maximum
+        assert np.abs(spectrum - full_width).max() <= 1e-15 * scale
+
+
+@given(
+    mq=st.sampled_from(_divisor_pairs([16, 48, 60, 64, 256])),
+    rows=st.integers(2, 9),
     lambda_scale=st.floats(0.01, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_velocity_solution_certifies_kkt_per_row(mq, rows, lambda_scale, seed):
-    d, op, cols = _velocity_problem(*mq, rows, seed)
-    g = op.adjoint(cols)
+    # the spectrum sums the periodic solution built from the first period of A*d
+    m, q = mq
+    d, op, cols = _velocity_problem(m, q, rows, seed)
+    g = op.adjoint(cols)[: m // q]
     lam = lambda_scale * np.abs(g).max(axis=0)
     x = soft_threshold(g, lam)
-    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
-    assert np.array_equal(spectrum.values, np.abs(x).sum(axis=1))
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
+    assert np.array_equal(spectrum[: m // q], np.abs(x).sum(axis=1))
+    assert np.array_equal(spectrum, np.tile(spectrum[: m // q], q))
+    x = np.tile(x, (q, 1))
     for j in range(rows):
         assert certify_kkt(LassoProblem(op, cols[:, j], lam[j]), x[:, j]) <= 1e-12 * lam[j]

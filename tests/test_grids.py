@@ -8,6 +8,7 @@ from casense.grids import (
     generate_tx_grid,
     pilot_index_sets,
     pilot_mask,
+    pilot_slices,
     write_csv,
 )
 
@@ -82,6 +83,28 @@ def test_mask_matches_index_sets():
     expect = np.zeros_like(mask)
     expect[np.ix_(subs, syms)] = True
     assert np.array_equal(mask, expect)
+
+
+SLICE_BANDS = [
+    *[(16, 8, Comb(k)) for k in (1, 2, 4, 16)],
+    *[(16, 8, Block(q)) for q in (1, 2, 4, 8)],
+]
+
+
+@pytest.mark.parametrize("n, m, pilot", SLICE_BANDS, ids=[f"{p!r}" for *_, p in SLICE_BANDS])
+def test_pilot_slices_agree_with_mask_and_index_sets(n, m, pilot):
+    b = band(n, m, pilot)
+    rows, cols = pilot_slices(b)
+    assert isinstance(rows, slice) and isinstance(cols, slice)
+    n_idx, m_idx = np.indices((n, m))
+    on_pilot = (n_idx % pilot.interval == 0) if isinstance(pilot, Comb) else (m_idx % pilot.interval == 0)
+    grid = np.arange(n * m).reshape(n, m)
+    assert np.array_equal(pilot_mask(b), on_pilot)
+    assert np.array_equal(grid[rows, cols].ravel(), grid[on_pilot])  # row-major pilot order
+    subs, syms = pilot_index_sets(b)
+    assert np.array_equal(grid[rows, cols], grid[np.ix_(subs, syms)])
+    tx = generate_tx_grid(b, seed=3)
+    assert np.array_equal(tx.symbols != 0, on_pilot)
 
 
 def test_grid_csv_dump(tmp_path):
