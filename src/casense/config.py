@@ -403,9 +403,11 @@ def save_config(cfg: CaConfig, path) -> None:
 
 
 def load_config(path) -> CaConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config {path} is not JSON: {exc}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InvalidConfig(f"config {path} cannot be read: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"config {path} is not JSON: {exc}") from None
     return config_from_dict(doc)

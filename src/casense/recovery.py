@@ -11,7 +11,10 @@ with complex (phase-preserving) soft thresholding.
 
 from __future__ import annotations
 
+import atexit
 import os
+import pickle
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -162,11 +165,15 @@ def fista_iterations(
     whatever else is in the batch. Returns (x, iterations), iterations
     being the largest count any column ran.
 
-    The columns are split into contiguous blocks that run in threads with
-    no synchronisation between iterations: one block per CPU this process
-    may run on, each of at least 16 columns (so a batch under 32 columns
-    runs in the calling thread alone). The result does not depend on the
-    number of blocks.
+    The columns are split into contiguous blocks: one per CPU this process
+    may run on, each of at least 16 columns (so a batch under 32 columns is
+    one block). The calling thread runs block 0. Each other block is sent
+    over a pipe to a helper process, forked by the first solve that needs
+    it and kept for later solves, which runs the block on buffers of its own
+    and sends back the block's columns of x and its count. A block whose
+    helper is serving another caller, has died or cannot be started (no
+    fork, or a daemonic process) runs in the calling thread. The result does
+    not depend on the number of blocks or on where they ran.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -175,36 +182,45 @@ def fista_iterations(
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")
     rows = d.reshape(op.n_measurements, -1).T  # (batch, p): one column per row
     batch = rows.shape[0]
-    # Every buffer is allocated here, in the calling thread; blocks get row views.
-    w = _Workspace(op, rows, lam, batch)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
+    w = _Workspace(op, rows, lam)
     workers = _worker_count(batch)
     blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]
     args = (max_iters, tol, momentum)
-    futures = []
-    if workers > 1:
-        pool = _executor(workers - 1)
-        futures = [pool.submit(_fista_block, w, *block, *args) for block in blocks[1:]]
+    local, sent = [blocks[0]], []
+    helpers = _helpers_for(workers - 1)
+    for k, (lo, hi) in enumerate(blocks[1:]):
+        if k < len(helpers) and helpers[k].send(op, rows[lo:hi], lam[lo:hi], args):
+            sent.append((lo, hi, helpers[k]))
+        else:
+            local.append((lo, hi))
     try:
-        counts = [_fista_block(w, *blocks[0], *args)]
+        counts = [_fista_block(w, lo, hi, *args) for lo, hi in local]
     finally:
-        counts += [f.result() for f in futures]
+        replies = [(lo, hi, helper.receive()) for lo, hi, helper in sent]
+    for lo, hi, reply in replies:
+        if reply is None:  # the helper died: its block runs here
+            counts.append(_fista_block(w, lo, hi, *args))
+        else:
+            w.out[:, lo:hi], count = reply
+            counts.append(count)
     return (w.out if d.ndim > 1 else w.out[:, 0]), max(counts)
 
 
 class _Workspace:
-    """Buffers of one fista_iterations call, in a (batch, n) layout."""
+    """Buffers of one solve's column blocks, in a (batch, n) layout."""
 
-    def __init__(self, op: SensingOperator, rows: np.ndarray, lam, batch: int):
+    def __init__(self, op: SensingOperator, rows: np.ndarray, lam: np.ndarray):
         if op.direction == FORWARD:
             self.transform, self.inverse = np.fft.fft, np.fft.ifft
             scale = np.sqrt(op.n)
         else:
             self.transform, self.inverse = np.fft.ifft, np.fft.fft
             scale = 1.0 / np.sqrt(op.n)
+        batch = len(rows)
         self.kept = _as_slice(np.flatnonzero(op.row_mask))
         self.data = np.multiply(rows, scale, order="C")
         # The floor keeps lam = 0 from dividing 0 by 0 in the soft threshold.
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
         self.lam = np.maximum(lam, 1e-300)[:, None]
         self.x = np.zeros((batch, op.n), dtype=complex)
         self.y = np.zeros_like(self.x)
@@ -285,34 +301,159 @@ def _worker_count(batch: int) -> int:
     return max(1, min(cpus or 1, batch // 16))
 
 
-_pool = None  # a concurrent.futures.ThreadPoolExecutor once a solve has needed one
-_pool_workers = 0
-_pool_lock = threading.Lock()
+class _Helper:
+    """A forked process that runs column blocks sent to it over a pipe.
+
+    It serves one caller at a time, the one holding `busy`, and exits when
+    its request pipe reaches end of file: when the parent closes it or dies.
+    """
+
+    def __init__(self):
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        self.busy = threading.Lock()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self.requests, self.replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the helper, which never returns from here
+            status = 1
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                status = _serve(requests, replies)
+            finally:
+                os._exit(status)
+        os.close(requests)
+        os.close(replies)
+
+    def send(self, *request) -> bool:
+        """Hands the helper a block if it is free; False if it is busy or has died."""
+        if not self.busy.acquire(blocking=False):
+            return False
+        try:
+            _write_message(self.requests, request)
+        except OSError:  # the helper has died
+            _discard(self)
+            return False
+        except BaseException:
+            _discard(self)
+            raise
+        return True
+
+    def receive(self):
+        """The reply to the block sent, or None if the helper died; frees the helper."""
+        try:
+            reply = _read_message(self.replies)
+        except (EOFError, OSError):
+            _discard(self)
+            return None
+        except BaseException:
+            _discard(self)
+            raise
+        self.busy.release()
+        return reply
+
+    def stop(self) -> None:
+        """Closes the pipes, kills the helper if it still runs and waits for it."""
+        os.close(self.requests)
+        os.close(self.replies)
+        try:
+            # a child not yet waited for keeps its pid, so the kill cannot reach another process
+            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
+                import signal  # not otherwise loaded by importing casense
+
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # other code of this process waited for it
+            pass
 
 
-def _executor(workers: int):
-    """The module's thread pool, created on first use with at least `workers` threads."""
-    # Imported on first use: concurrent.futures brings in logging, which
-    # importing casense does not otherwise need.
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool_workers < workers:
-            # A smaller pool is dropped, not shut down: a concurrent caller may still use it.
-            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="casense-fista")
-            _pool_workers = workers
-        return _pool
+def _serve(requests: int, replies: int) -> int:
+    """A helper's loop: solves each block read from `requests` and replies on `replies`."""
+    while True:
+        try:
+            op, rows, lam, args = _read_message(requests)
+        except EOFError:
+            return 0
+        w = _Workspace(op, rows, lam)
+        count = _fista_block(w, 0, len(rows), *args)
+        _write_message(replies, (w.out, count))
 
 
-def _forget_pool_after_fork() -> None:
-    """A forked child has none of the parent's threads: start from no pool."""
-    global _pool, _pool_workers, _pool_lock
-    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+def _write_message(fd: int, message) -> None:
+    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_message(fd: int):
+    """The next message on fd; EOFError if the pipe ends first."""
+    size = int.from_bytes(_read_exactly(fd, 8), "little")
+    return pickle.loads(_read_exactly(fd, size))
+
+
+def _read_exactly(fd: int, size: int) -> bytearray:
+    buf = bytearray(size)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return buf
+
+
+_helpers: list[_Helper] = []  # started by the first solve that needs them
+_helpers_lock = threading.Lock()
+
+
+def _helpers_for(count: int) -> list[_Helper]:
+    """The first `count` helpers, started as needed; fewer where no more can start."""
+    process = sys.modules.get("multiprocessing.process")
+    if count < 1 or not hasattr(os, "fork") or (process and process.current_process().daemon):
+        return []
+    with _helpers_lock:
+        try:
+            while len(_helpers) < count:
+                _helpers.append(_Helper())
+        except OSError:  # out of processes or file descriptors: those blocks run here
+            pass
+        return _helpers[:count]
+
+
+def _discard(helper: _Helper) -> None:
+    """Drops a helper that died or lost its place in the protocol; the next solve starts another."""
+    with _helpers_lock:
+        if helper in _helpers:
+            _helpers.remove(helper)
+    helper.stop()
+
+
+@atexit.register
+def _stop_helpers() -> None:
+    """Joins every helper at interpreter exit."""
+    with _helpers_lock:
+        helpers = _helpers[:]
+        _helpers.clear()
+    for helper in helpers:
+        helper.stop()
+
+
+def _forget_helpers_after_fork() -> None:
+    """A forked child does not own the parent's helpers: it closes its copies of their pipes."""
+    global _helpers, _helpers_lock
+    for helper in _helpers:
+        os.close(helper.requests)
+        os.close(helper.replies)
+    _helpers, _helpers_lock = [], threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+    os.register_at_fork(after_in_child=_forget_helpers_after_fork)
 
 
 def solve_fista(p: LassoProblem) -> RecoveryResult:

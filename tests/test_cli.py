@@ -184,6 +184,24 @@ def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_config_path_is_a_usage_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert err.splitlines()[-1].startswith(f"casense: error: config {path} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "missing" else ["cfg.json"])
+
 BAD_CONFIG_FIELDS = [
     ("low", "fc", -1.0),
     ("low", "fc", float("nan")),

@@ -1,9 +1,15 @@
 import math
+import os
+import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casense.harness
+from casense import recovery
 from casense.channel import Target
 from casense.config import Scheme, make_table3_config, with_scheme
 from casense.estimators import SolverOptions
@@ -75,6 +81,31 @@ def test_sweep_rows_shape_and_determinism(tmp_path, table3):
     write_sweep_csv(res2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.sampled_from([-20.0, -14.0, 10.0]))
+def test_equal_seeds_give_equal_rows_across_calls(seed, snr_db):
+    # in one process: before a helper exists, while it runs, and after it was killed
+    spec = ExperimentSpec(
+        cfg=make_table3_config(),
+        schemes=(Scheme.CA1,),
+        target=Target(117.0, 30.0),
+        snr_grid=(snr_db,),
+        trials=2,
+        master_seed=seed,
+        solver=FAST,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_worker_count", lambda batch: 3)
+        recovery._stop_helpers()
+        rows = [run_sweep(spec).rows]
+        assert len(recovery._helpers) == 2
+        rows.append(run_sweep(spec).rows)
+        os.kill(recovery._helpers[1].pid, signal.SIGKILL)
+        rows.append(run_sweep(spec).rows)
+    timeless = [[replace(row, wall_time_s=0.0) for row in call] for call in rows]
+    assert timeless[1] == timeless[0] and timeless[2] == timeless[0]
 
 def test_sweep_seed_changes_noise(table3):
     # deep in the breakdown region the noise realizations drive the errors

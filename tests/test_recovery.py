@@ -1,7 +1,12 @@
 import functools
 import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,13 +441,12 @@ def test_blocks_never_call_through_the_fista_attribute(monkeypatch):
 
 
 def test_concurrent_solves_share_the_pool_without_mixing_results(monkeypatch):
-    # four callers race to create and use the pool, each splitting its batch into
-    # three blocks, with thread switches forced as often as possible
+    # four callers race to start and use the helper processes, each splitting its
+    # batch into three blocks, with thread switches forced as often as possible
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
     expected = np.stack([s[0] for s in singles], axis=1)
     monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
-    monkeypatch.setattr(recovery, "_pool", None)
-    monkeypatch.setattr(recovery, "_pool_workers", 0)
+    recovery._stop_helpers()
     results = [None] * 4
 
     def solve(k):
@@ -459,28 +463,39 @@ def test_concurrent_solves_share_the_pool_without_mixing_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert len(recovery._helpers) == 2  # one per block past the first, however many callers
     for x in results:
         assert np.array_equal(x, expected)
 
 
+def helper_pids():
+    return [helper.pid for helper in recovery._helpers]
+
+
 def _solve_and_send(queue, op, d, lam):
-    queue.put(fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)[0])
+    x, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    queue.put((x, helper_pids()))
 
 
-@pytest.mark.skipif(
+needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
+
+
+@needs_fork
 def test_forked_child_solves_after_the_parent_used_the_pool(monkeypatch):
     op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
     monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    recovery._stop_helpers()
     expected, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
-    assert recovery._pool is not None  # the parent's solve ran a block on the pool
+    parent_helpers = helper_pids()
+    assert len(parent_helpers) == 1  # the parent's solve sent a block to a helper
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam))
     child.start()
     try:
-        got = queue.get(timeout=120)
+        got, child_helpers = queue.get(timeout=120)
     finally:
         child.join(timeout=10)
         if child.is_alive():
@@ -488,3 +503,131 @@ def test_forked_child_solves_after_the_parent_used_the_pool(monkeypatch):
             child.join(timeout=10)
     assert child.exitcode == 0
     assert np.array_equal(got, expected)
+    # the child started a helper of its own and left the parent's in service
+    assert len(child_helpers) == 1 and child_helpers != parent_helpers
+    x, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    assert helper_pids() == parent_helpers
+    assert np.array_equal(x, expected)
+
+
+@needs_fork
+def test_solve_after_a_helper_was_killed_is_unchanged(monkeypatch):
+    op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    recovery._stop_helpers()
+    expected, iterations = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    killed = helper_pids()
+    assert len(killed) == 2
+    for pid in killed:
+        os.kill(pid, signal.SIGKILL)
+    # the first solve after the kill runs the blocks here, a later one starts new helpers
+    for _ in range(2):
+        x, it = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+        assert np.array_equal(x, expected) and it == iterations
+    assert len(helper_pids()) == 2 and not set(helper_pids()) & set(killed)
+
+
+@needs_fork
+def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
+    op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
+    parent, original = os.getpid(), recovery._fista_block
+
+    def dies_in_a_helper(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return original(*args)
+
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_fista_block", dies_in_a_helper)
+    recovery._stop_helpers()
+    try:
+        x, iterations = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    finally:
+        recovery._stop_helpers()  # no helper forked with the patched kernel outlives the test
+    assert np.array_equal(x, np.stack([s[0] for s in singles], axis=1))
+    assert iterations == max(it for _, it in singles)
+
+
+@needs_fork
+def test_daemonic_child_solves_every_block_itself(monkeypatch):
+    # multiprocessing terminates a daemonic process without letting it clean up
+    op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam), daemon=True)
+    child.start()
+    try:
+        got, child_helpers = queue.get(timeout=120)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+    assert child_helpers == []
+    assert np.array_equal(got, np.stack([s[0] for s in singles], axis=1))
+
+
+def exited(pid):
+    """Whether process pid has exited (gone, or a zombie nobody waited for yet)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+# run by a fresh interpreter: one CA1 estimate with two column blocks, then
+# a line with the helper pids and, with "wait", block until stdin closes
+ESTIMATE_SCRIPT = """
+import sys
+from casense import cli, recovery
+recovery._worker_count = lambda batch: 2
+assert cli.main(["estimate", "--out", sys.argv[1], "--snr", "10"]) == 0
+print("helpers", *[helper.pid for helper in recovery._helpers], flush=True)
+if sys.argv[2] == "wait":
+    sys.stdin.read()
+"""
+
+
+def estimate_helper_pids(proc):
+    """The pids a process running ESTIMATE_SCRIPT printed."""
+    for line in proc.stdout:
+        if line.startswith("helpers"):
+            return [int(p) for p in line.split()[1:]]
+    return []
+
+
+def run_estimate(tmp_path, mode):
+    src = str(Path(recovery.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen(
+        [sys.executable, "-c", ESTIMATE_SCRIPT, str(tmp_path / "est"), mode],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+
+
+@needs_fork
+def test_helper_is_gone_when_its_process_has_exited(tmp_path):
+    with run_estimate(tmp_path, "exit") as proc:
+        pids = estimate_helper_pids(proc)
+        assert proc.wait(timeout=120) == 0
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):  # waited for at exit, not left behind
+        os.kill(pids[0], 0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_helper_exits_when_its_process_is_killed(tmp_path):
+    with run_estimate(tmp_path, "wait") as proc:
+        try:
+            pids = estimate_helper_pids(proc)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+    assert len(pids) == 1
+    deadline = time.monotonic() + 10
+    while not exited(pids[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert exited(pids[0])
