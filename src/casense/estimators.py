@@ -32,7 +32,8 @@ from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
 from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
 from .fusion import build_range_selection
-from .recovery import FORWARD, SensingOperator, fista_iterations, soft_threshold
+from .grids import pilot_slices
+from .recovery import FORWARD, SensingOperator, fista_iterations, lasso_lambda, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,8 @@ def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """
     if not isinstance(d.band.pilot, Block):
         raise SchemeMismatch("range_spectrum_block needs a block-pilot band")
-    cols = d.values[:, :: d.band.pilot.interval]
     n = d.band.n_subcarriers
-    acc = np.abs(np.fft.ifft(cols, axis=0) * np.sqrt(n)).sum(axis=1)
+    acc = np.abs(np.fft.ifft(d.values[pilot_slices(d.band)], axis=0) * np.sqrt(n)).sum(axis=1)
     return PowerSpectrum(acc, range_bin_width(c0, d.band.delta_f, n))
 
 
@@ -148,8 +148,8 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
     k = d.band.pilot.interval
     n = d.band.n_subcarriers
     op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(n // k, n))
-    columns = d.values[::k]  # the pilot rows, which rearrangement gathers into rows [0, N/K)
-    lam = opts.lambda_scale * np.abs(op.adjoint(columns)).max(axis=0)
+    columns = d.values[pilot_slices(d.band)]  # the rows rearrangement gathers into [0, N/K)
+    lam = lasso_lambda(op.adjoint(columns), opts.lambda_scale)
     x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol)
     return PowerSpectrum(np.abs(x).sum(axis=1), range_bin_width(c0, k * d.band.delta_f, n))
 
@@ -158,9 +158,8 @@ def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """Sum of per-row FFT magnitudes over the pilot subcarrier rows."""
     if not isinstance(d.band.pilot, Comb):
         raise SchemeMismatch("velocity_spectrum_comb needs a comb-pilot band")
-    rows = d.values[:: d.band.pilot.interval, :]
     m = d.band.n_symbols
-    acc = np.abs(np.fft.fft(rows, axis=1) / np.sqrt(m)).sum(axis=0)
+    acc = np.abs(np.fft.fft(d.values[pilot_slices(d.band)], axis=1) / np.sqrt(m)).sum(axis=0)
     return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
 
 
@@ -187,7 +186,7 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
     period = np.fft.fft(d.values, axis=1)[:, : m // q]
     # (M/Q, N) and contiguous, so the row sum adds in the order of the (M, N) layout
     g = np.ascontiguousarray(period.T) / np.sqrt(m)
-    x = soft_threshold(g, opts.lambda_scale * np.abs(g).max(axis=0))
+    x = soft_threshold(g, lasso_lambda(g, opts.lambda_scale))
     return PowerSpectrum(np.tile(np.abs(x).sum(axis=1), q), velocity_bin_width(c0, d.band))
 
 

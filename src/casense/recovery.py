@@ -117,9 +117,18 @@ class RecoveryResult:
     kkt_residual: float
 
 
-def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1) -> float:
-    """Scale-free default regularization weight: scale * ||A* d||_inf."""
-    return scale * float(np.abs(op.adjoint(np.asarray(d, dtype=complex))).max())
+def lasso_lambda(g: np.ndarray, scale: float):
+    """The regularization rule of every CS solve: scale * max|g| per column of g = A* d."""
+    return scale * np.abs(g).max(axis=0)
+
+
+def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1):
+    """Scale-free default regularization weight: scale * ||A* d||_inf, per column of d.
+
+    A float for a 1-D d; for a 2-D d, an array holding one value per column.
+    """
+    lam = lasso_lambda(op.adjoint(np.asarray(d, dtype=complex)), scale)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def soft_threshold(z: np.ndarray, t) -> np.ndarray:
@@ -167,13 +176,15 @@ def fista_iterations(
 
     The columns are split into contiguous blocks: one per CPU this process
     may run on, each of at least 16 columns (so a batch under 32 columns is
-    one block). The calling thread runs block 0. Each other block is sent
-    over a pipe to a helper process, forked by the first solve that needs
-    it and kept for later solves, which runs the block on buffers of its own
-    and sends back the block's columns of x and its count. A block whose
-    helper is serving another caller, has died or cannot be started (no
-    fork, or a daemonic process) runs in the calling thread. The result does
-    not depend on the number of blocks or on where they ran.
+    one block). Each block is solved by one call of _solve_block, which
+    allocates buffers for that block only. The calling thread makes it for
+    block 0. Each other block goes over a pipe to a helper process, forked
+    by the first solve that needs it and kept for later solves, which makes
+    the same call and sends back the block's columns of x and its count. A
+    block whose helper is serving another caller, has died or cannot be
+    started (no fork, or a daemonic process) is solved in the calling
+    thread. So the caller allocates buffers only for the blocks it solves.
+    The result does not depend on the number of blocks or where they ran.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -183,53 +194,26 @@ def fista_iterations(
     rows = d.reshape(op.n_measurements, -1).T  # (batch, p): one column per row
     batch = rows.shape[0]
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
-    w = _Workspace(op, rows, lam)
     workers = _worker_count(batch)
     blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]
     args = (max_iters, tol, momentum)
-    local, sent = [blocks[0]], []
-    helpers = _helpers_for(workers - 1)
-    for k, (lo, hi) in enumerate(blocks[1:]):
-        if k < len(helpers) and helpers[k].send(op, rows[lo:hi], lam[lo:hi], args):
-            sent.append((lo, hi, helpers[k]))
-        else:
-            local.append((lo, hi))
+    sent = {}
+    for (lo, hi), helper in zip(blocks[1:], _helpers_for(workers - 1)):
+        if helper.send(op, rows[lo:hi], lam[lo:hi], *args):
+            sent[lo, hi] = helper
+    replies = {}
     try:
-        counts = [_fista_block(w, lo, hi, *args) for lo, hi in local]
+        for lo, hi in blocks:
+            if (lo, hi) not in sent:  # block 0, and the blocks no helper took
+                replies[lo, hi] = _solve_block(op, rows[lo:hi], lam[lo:hi], *args)
     finally:
-        replies = [(lo, hi, helper.receive()) for lo, hi, helper in sent]
-    for lo, hi, reply in replies:
-        if reply is None:  # the helper died: its block runs here
-            counts.append(_fista_block(w, lo, hi, *args))
-        else:
-            w.out[:, lo:hi], count = reply
-            counts.append(count)
-    return (w.out if d.ndim > 1 else w.out[:, 0]), max(counts)
-
-
-class _Workspace:
-    """Buffers of one solve's column blocks, in a (batch, n) layout."""
-
-    def __init__(self, op: SensingOperator, rows: np.ndarray, lam: np.ndarray):
-        if op.direction == FORWARD:
-            self.transform, self.inverse = np.fft.fft, np.fft.ifft
-            scale = np.sqrt(op.n)
-        else:
-            self.transform, self.inverse = np.fft.ifft, np.fft.fft
-            scale = 1.0 / np.sqrt(op.n)
-        batch = len(rows)
-        self.kept = _as_slice(np.flatnonzero(op.row_mask))
-        self.data = np.multiply(rows, scale, order="C")
-        # The floor keeps lam = 0 from dividing 0 by 0 in the soft threshold.
-        self.lam = np.maximum(lam, 1e-300)[:, None]
-        self.x = np.zeros((batch, op.n), dtype=complex)
-        self.y = np.zeros_like(self.x)
-        self.x_next = np.empty_like(self.x)
-        self.z = np.empty_like(self.x)
-        self.mag = np.empty(self.x.shape)
-        self.norms = np.empty((2, batch))  # squared ||x_next - x|| and ||x_next|| per row
-        self.order = np.arange(batch)  # row -> column of d
-        self.out = np.empty((op.n, batch), dtype=complex)
+        replies.update((block, helper.receive()) for block, helper in sent.items())
+    x = np.empty((op.n, batch), dtype=complex)
+    counts = []
+    for (lo, hi), reply in replies.items():  # a helper that died replied None: solve here
+        x[:, lo:hi], count = reply or _solve_block(op, rows[lo:hi], lam[lo:hi], *args)
+        counts.append(count)
+    return (x if d.ndim > 1 else x[:, 0]), max(counts)
 
 
 def _as_slice(rows: np.ndarray):
@@ -240,30 +224,41 @@ def _as_slice(rows: np.ndarray):
     return rows
 
 
-def _fista_block(
-    w: _Workspace, lo: int, hi: int, max_iters: int, tol: float, momentum: bool
-) -> int:
-    """Runs columns lo..hi-1 of w (by starting row) to their own stops.
+def _solve_block(op: SensingOperator, rows, lam, max_iters: int, tol: float, momentum: bool):
+    """Runs a block of columns, given as rows (one column of d each), to their own stops.
 
-    The block's running columns are the rows [0, active) of its views. A
-    column that stops is written to w.out, and a running row from past the
-    shrunk prefix takes its place. Returns the largest iteration count in
-    the block.
+    Allocates buffers for exactly these rows, in a (rows, n) layout. The
+    running columns are the rows [0, active) of the buffers. A column that
+    stops is written to the result, and a running row from past the shrunk
+    prefix takes its place. Returns (x, count): x of shape (n, len(rows))
+    and the largest iteration count in the block.
     """
-    data, lam, order = w.data[lo:hi], w.lam[lo:hi], w.order[lo:hi]
-    x, y, x_next = w.x[lo:hi], w.y[lo:hi], w.x_next[lo:hi]
-    z, mag = w.z[lo:hi], w.mag[lo:hi]
-    dsq, xsq = w.norms[0, lo:hi], w.norms[1, lo:hi]
-    active = hi - lo
+    if op.direction == FORWARD:
+        transform, inverse, scale = np.fft.fft, np.fft.ifft, np.sqrt(op.n)
+    else:
+        transform, inverse, scale = np.fft.ifft, np.fft.fft, 1.0 / np.sqrt(op.n)
+    kept = _as_slice(np.flatnonzero(op.row_mask))
+    data = np.multiply(rows, scale, order="C")
+    # The floor keeps lam = 0 from dividing 0 by 0 in the soft threshold.
+    lam = np.maximum(lam, 1e-300)[:, None]
+    active = len(rows)
+    x = np.zeros((active, op.n), dtype=complex)
+    y = np.zeros_like(x)
+    x_next = np.empty_like(x)
+    z = np.empty_like(x)
+    mag = np.empty(x.shape)
+    dsq, xsq = np.empty((2, active))  # squared ||x_next - x|| and ||x_next|| per row
+    order = np.arange(active)  # row -> column of the block
+    out = np.empty((op.n, active), dtype=complex)
     t = 1.0
     iterations = 0
     while active and iterations < max_iters:
         iterations += 1
         a = active
         za, ma, xa, xna = z[:a], mag[:a], x[:a], x_next[:a]
-        w.transform(y[:a], axis=-1, out=za)
-        za[:, w.kept] = data[:a]
-        w.inverse(za, axis=-1, out=za)
+        transform(y[:a], axis=-1, out=za)
+        za[:, kept] = data[:a]
+        inverse(za, axis=-1, out=za)
         # x_next = z * (1 - lam / max(|z|, lam)): soft_threshold(z, lam) bit for bit, one pass less
         np.abs(za, out=ma)
         np.maximum(ma, lam[:a], out=ma)
@@ -285,14 +280,14 @@ def _fista_block(
         stopped = np.sqrt(dsq[:a]) / np.maximum(np.sqrt(xsq[:a]), 1e-300) < tol
         if stopped.any():
             done = np.flatnonzero(stopped)
-            w.out[:, order[done]] = x[done].T
+            out[:, order[done]] = x[done].T
             active = a - len(done)
             # running rows past the new prefix move into the stopped rows inside it
             holes, movers = done[done < active], np.flatnonzero(~stopped[active:]) + active
             for buf in (x, y, data, lam, order):
                 buf[holes] = buf[movers]
-    w.out[:, order[:active]] = x[:active].T
-    return iterations
+    out[:, order[:active]] = x[:active].T
+    return out, iterations
 
 
 def _worker_count(batch: int) -> int:
@@ -375,12 +370,10 @@ def _serve(requests: int, replies: int) -> int:
     """A helper's loop: solves each block read from `requests` and replies on `replies`."""
     while True:
         try:
-            op, rows, lam, args = _read_message(requests)
+            request = _read_message(requests)
         except EOFError:
             return 0
-        w = _Workspace(op, rows, lam)
-        count = _fista_block(w, 0, len(rows), *args)
-        _write_message(replies, (w.out, count))
+        _write_message(replies, _solve_block(*request))
 
 
 def _write_message(fd: int, message) -> None:
@@ -409,14 +402,20 @@ def _read_exactly(fd: int, size: int) -> bytearray:
 
 _helpers: list[_Helper] = []  # started by the first solve that needs them
 _helpers_lock = threading.Lock()
+_reaper = None  # in a process that multiprocessing started: the finalizer that joins its helpers
 
 
 def _helpers_for(count: int) -> list[_Helper]:
     """The first `count` helpers, started as needed; fewer where no more can start."""
+    global _reaper
     process = sys.modules.get("multiprocessing.process")
     if count < 1 or not hasattr(os, "fork") or (process and process.current_process().daemon):
         return []
     with _helpers_lock:
+        if _reaper is None and process and process.parent_process():
+            # multiprocessing ends such a process with os._exit, which skips atexit
+            util = sys.modules["multiprocessing.util"]  # loaded when multiprocessing started it
+            _reaper = util.Finalize(None, _stop_helpers, exitpriority=0)
         try:
             while len(_helpers) < count:
                 _helpers.append(_Helper())
@@ -435,7 +434,7 @@ def _discard(helper: _Helper) -> None:
 
 @atexit.register
 def _stop_helpers() -> None:
-    """Joins every helper at interpreter exit."""
+    """Joins every helper at interpreter exit, or when a process multiprocessing started ends."""
     with _helpers_lock:
         helpers = _helpers[:]
         _helpers.clear()
@@ -445,11 +444,11 @@ def _stop_helpers() -> None:
 
 def _forget_helpers_after_fork() -> None:
     """A forked child does not own the parent's helpers: it closes its copies of their pipes."""
-    global _helpers, _helpers_lock
+    global _helpers, _helpers_lock, _reaper
     for helper in _helpers:
         os.close(helper.requests)
         os.close(helper.replies)
-    _helpers, _helpers_lock = [], threading.Lock()
+    _helpers, _helpers_lock, _reaper = [], threading.Lock(), None
 
 
 if hasattr(os, "register_at_fork"):

@@ -285,6 +285,17 @@ def test_default_lambda_scale_free():
     assert default_lambda(op, 3.0 * d) == pytest.approx(3.0 * default_lambda(op, d), rel=1e-12)
 
 
+def test_default_lambda_is_a_float_per_column():
+    n = 32
+    op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(8, n))
+    rng = np.random.default_rng(9)
+    d = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    assert type(default_lambda(op, d[:, 0])) is float
+    lam = default_lambda(op, d)
+    assert lam.shape == (5,)
+    assert lam.tolist() == [default_lambda(op, d[:, j]) for j in range(5)]
+
+
 def test_objective_value_matches_direct_computation():
     n = 16
     op = SensingOperator(n=n, direction=INVERSE, row_mask=build_velocity_selection(2, n))
@@ -530,7 +541,7 @@ def test_solve_after_a_helper_was_killed_is_unchanged(monkeypatch):
 @needs_fork
 def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
-    parent, original = os.getpid(), recovery._fista_block
+    parent, original = os.getpid(), recovery._solve_block
 
     def dies_in_a_helper(*args):
         if os.getpid() != parent:
@@ -538,7 +549,7 @@ def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
-    monkeypatch.setattr(recovery, "_fista_block", dies_in_a_helper)
+    monkeypatch.setattr(recovery, "_solve_block", dies_in_a_helper)
     recovery._stop_helpers()
     try:
         x, iterations = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
@@ -567,6 +578,29 @@ def test_daemonic_child_solves_every_block_itself(monkeypatch):
     assert child.exitcode == 0
     assert child_helpers == []
     assert np.array_equal(got, np.stack([s[0] for s in singles], axis=1))
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_helper_of_a_multiprocessing_child_is_reaped_when_the_child_ends(monkeypatch):
+    # multiprocessing ends its children with os._exit, which skips atexit
+    op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
+    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam))
+    child.start()
+    try:
+        _, child_helpers = queue.get(timeout=120)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+    assert len(child_helpers) == 1
+    # waited for by the child before it ended: not left behind as a zombie
+    assert not Path(f"/proc/{child_helpers[0]}").exists()
 
 
 def exited(pid):
