@@ -3,7 +3,7 @@
 Simulates aggregated pilot-structured symbol grids over a low and a high
 band, applies point-target delay/Doppler channels, fuses the two bands with
 compressed-sensing-aided Fourier processing to estimate range and velocity,
-and validates estimator quality against closed-form Cramer-Rao bounds.
+and checks estimator quality against closed-form Cramer-Rao bounds.
 """
 
 from .channel import (
@@ -22,7 +22,6 @@ from .config import (
     load_config,
     make_table3_config,
     save_config,
-    validate,
     with_high_band_spacing,
     with_scheme,
 )

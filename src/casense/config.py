@@ -149,7 +149,18 @@ def velocity_bin_width(c0: float, band: BandConfig) -> float:
 
 @dataclass(frozen=True)
 class CaConfig:
-    """A validated pair of aggregated bands plus the pilot scheme."""
+    """A pair of aggregated bands plus the pilot scheme, valid by construction.
+
+    Raises
+    ------
+    NonIntegerSpacingRatio
+        If delta_f_high / delta_f_low is not an integer.
+    VelocityFusionConstraintViolated
+        If T_low * fc_low != T_high * fc_high (reports the residual).
+    SchemeMismatch
+        If band pilot patterns do not match the declared scheme, or a comb
+        interval in scheme CA1/CA2 differs from the spacing ratio.
+    """
 
     low: BandConfig
     high: BandConfig
@@ -158,12 +169,38 @@ class CaConfig:
 
     def __post_init__(self):
         _require_finite("c0", self.c0)
+        ratio = self.high.delta_f / self.low.delta_f
+        k = round(ratio)
+        if k < 1 or abs(ratio - k) > _REL_TOL * ratio:
+            raise NonIntegerSpacingRatio(
+                f"delta_f ratio {ratio!r} is not a positive integer within rel 1e-12"
+            )
+        g_low = self.low.symbol_duration * self.low.fc
+        g_high = self.high.symbol_duration * self.high.fc
+        residual = abs(g_low - g_high)
+        if residual > _REL_TOL * max(g_low, g_high):
+            raise VelocityFusionConstraintViolated(
+                f"|T1*fc1 - T2*fc2| = {residual:.6e} (T1*fc1={g_low!r}, T2*fc2={g_high!r})"
+            )
+        low_kind, high_kind = self.scheme.patterns
+        if not isinstance(self.low.pilot, low_kind) or not isinstance(self.high.pilot, high_kind):
+            raise SchemeMismatch(
+                f"scheme {self.scheme.value} expects low={low_kind.__name__}, "
+                f"high={high_kind.__name__}; got low={type(self.low.pilot).__name__}, "
+                f"high={type(self.high.pilot).__name__}"
+            )
+        if self.scheme in (Scheme.CA1, Scheme.CA2):
+            for band in (self.low, self.high):
+                if isinstance(band.pilot, Comb) and band.pilot.interval != k:
+                    raise SchemeMismatch(
+                        f"comb interval {band.pilot.interval} must equal the spacing "
+                        f"ratio {k} in scheme {self.scheme.value}"
+                    )
 
     @property
     def k_ratio(self) -> int:
         """Integer subcarrier-spacing ratio delta_f_high / delta_f_low."""
-        ratio = self.high.delta_f / self.low.delta_f
-        return int(round(ratio))
+        return int(round(self.high.delta_f / self.low.delta_f))
 
     @property
     def range_bin_width(self) -> float:
@@ -176,52 +213,12 @@ class CaConfig:
         return velocity_bin_width(self.c0, self.high)
 
 
-def validate(cfg: CaConfig) -> CaConfig:
-    """Check all aggregation invariants; return the config unchanged.
-
-    Raises
-    ------
-    NonIntegerSpacingRatio
-        If delta_f_high / delta_f_low is not an integer.
-    VelocityFusionConstraintViolated
-        If T_low * fc_low != T_high * fc_high (reports the residual).
-    SchemeMismatch
-        If band pilot patterns do not match the declared scheme, or a comb
-        interval in scheme CA1/CA2 differs from the spacing ratio.
-
-    Non-finite or out-of-range values never get here: BandConfig and
-    CaConfig raise InvalidConfig when built.
-
-    Idempotent: ``validate(validate(cfg))`` returns the same object.
-    """
-    ratio = cfg.high.delta_f / cfg.low.delta_f
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > _REL_TOL * ratio:
-        raise NonIntegerSpacingRatio(
-            f"delta_f ratio {ratio!r} is not a positive integer within rel 1e-12"
-        )
-    g_low = cfg.low.symbol_duration * cfg.low.fc
-    g_high = cfg.high.symbol_duration * cfg.high.fc
-    residual = abs(g_low - g_high)
-    if residual > _REL_TOL * max(g_low, g_high):
-        raise VelocityFusionConstraintViolated(
-            f"|T1*fc1 - T2*fc2| = {residual:.6e} (T1*fc1={g_low!r}, T2*fc2={g_high!r})"
-        )
-    low_kind, high_kind = cfg.scheme.patterns
-    if not isinstance(cfg.low.pilot, low_kind) or not isinstance(cfg.high.pilot, high_kind):
-        raise SchemeMismatch(
-            f"scheme {cfg.scheme.value} expects low={low_kind.__name__}, "
-            f"high={high_kind.__name__}; got low={type(cfg.low.pilot).__name__}, "
-            f"high={type(cfg.high.pilot).__name__}"
-        )
-    if cfg.scheme in (Scheme.CA1, Scheme.CA2):
-        for band in (cfg.low, cfg.high):
-            if isinstance(band.pilot, Comb) and band.pilot.interval != k:
-                raise SchemeMismatch(
-                    f"comb interval {band.pilot.interval} must equal the spacing "
-                    f"ratio {k} in scheme {cfg.scheme.value}"
-                )
-    return cfg
+def _low_band_cp(fc_low: float, delta_f_low: float, high: BandConfig) -> float:
+    """Low-band CP making T1*fc1 = T2*fc2; InvalidConfig if no nonnegative one does."""
+    t_cp_low = (1.0 / high.delta_f + high.t_cp) * high.fc / fc_low - 1.0 / delta_f_low
+    if t_cp_low < 0:
+        raise InvalidConfig(f"delta_f_high={high.delta_f!r} would need negative low-band CP")
+    return t_cp_low
 
 
 def make_table3_config(
@@ -243,15 +240,10 @@ def make_table3_config(
     10.1059 m/s in velocity.
     """
     pilot = Block(1)  # placeholder: with_scheme sets the scheme's own pilots
-    skeleton = CaConfig(
-        low=BandConfig(5.9e9, 30e3, 512, 64, 0.0, pilot),
-        high=BandConfig(24e9, 120e3, 512, 64, t_cp_high, pilot),
-        scheme=Scheme.CA3,
-        c0=c0,
-    )
-    return with_scheme(
-        with_high_band_spacing(skeleton, 120e3), scheme, comb_interval, block_interval
-    )
+    high = BandConfig(24e9, 120e3, 512, 64, t_cp_high, pilot)
+    low = BandConfig(5.9e9, 30e3, 512, 64, _low_band_cp(5.9e9, 30e3, high), pilot)
+    skeleton = CaConfig(low=low, high=high, scheme=Scheme.CA3, c0=c0)
+    return with_scheme(skeleton, scheme, comb_interval, block_interval)
 
 
 def with_scheme(
@@ -260,25 +252,20 @@ def with_scheme(
     comb_interval: int | None = None,
     block_interval: int | None = None,
 ) -> CaConfig:
-    """Rebuild a validated config with pilot patterns set for another scheme.
+    """Rebuild cfg with pilot patterns set for another scheme.
 
     Pilot intervals default to the ones already present in ``cfg`` (falling
     back to the spacing ratio for combs).
     """
-    existing_comb = next(
-        (b.pilot.interval for b in (cfg.low, cfg.high) if isinstance(b.pilot, Comb)),
-        cfg.k_ratio,
-    )
-    existing_block = next(
-        (b.pilot.interval for b in (cfg.low, cfg.high) if isinstance(b.pilot, Block)),
-        existing_comb,
-    )
+    pilots = (cfg.low.pilot, cfg.high.pilot)
+    existing_comb = next((p.interval for p in pilots if isinstance(p, Comb)), cfg.k_ratio)
+    existing_block = next((p.interval for p in pilots if isinstance(p, Block)), existing_comb)
     k = comb_interval if comb_interval is not None else existing_comb
     q = block_interval if block_interval is not None else existing_block
     low_kind, high_kind = scheme.patterns
     low = replace(cfg.low, pilot=Comb(k) if low_kind is Comb else Block(q))
     high = replace(cfg.high, pilot=Comb(k) if high_kind is Comb else Block(q))
-    return validate(CaConfig(low=low, high=high, scheme=scheme, c0=cfg.c0))
+    return CaConfig(low=low, high=high, scheme=scheme, c0=cfg.c0)
 
 
 def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
@@ -287,17 +274,10 @@ def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
     The high-band CP is kept; the low-band CP is re-derived from the velocity
     fusion constraint. Used by CRLB sweeps over subcarrier spacing.
     """
-    k = cfg.k_ratio
-    df2 = float(delta_f_high)
-    df1 = df2 / k
-    t2 = 1.0 / df2 + cfg.high.t_cp
-    t1 = t2 * cfg.high.fc / cfg.low.fc
-    t_cp_low = t1 - 1.0 / df1
-    if t_cp_low < 0:
-        raise InvalidConfig(f"delta_f_high={df2!r} would need negative low-band CP")
-    low = replace(cfg.low, delta_f=df1, t_cp=t_cp_low)
-    high = replace(cfg.high, delta_f=df2)
-    return validate(CaConfig(low=low, high=high, scheme=cfg.scheme, c0=cfg.c0))
+    high = replace(cfg.high, delta_f=float(delta_f_high))
+    df1 = high.delta_f / cfg.k_ratio
+    low = replace(cfg.low, delta_f=df1, t_cp=_low_band_cp(cfg.low.fc, df1, high))
+    return CaConfig(low=low, high=high, scheme=cfg.scheme, c0=cfg.c0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +355,7 @@ def config_to_dict(cfg: CaConfig) -> dict:
 
 
 def config_from_dict(d) -> CaConfig:
-    """The validated config a JSON document describes, taken exactly.
+    """The config a JSON document describes, taken exactly.
 
     Every key is required except c0 (default C0_EXACT), unknown keys are
     rejected, integers must be JSON integers and numbers JSON numbers; any
@@ -386,13 +366,11 @@ def config_from_dict(d) -> CaConfig:
         scheme = Scheme(d["scheme"])
     except ValueError:
         raise InvalidConfig(f"unknown scheme {d['scheme']!r}") from None
-    return validate(
-        CaConfig(
-            low=_band_from_dict(d["low"], "low"),
-            high=_band_from_dict(d["high"], "high"),
-            scheme=scheme,
-            c0=_number(d["c0"], "c0") if "c0" in d else C0_EXACT,
-        )
+    return CaConfig(
+        low=_band_from_dict(d["low"], "low"),
+        high=_band_from_dict(d["high"], "high"),
+        scheme=scheme,
+        c0=_number(d["c0"], "c0") if "c0" in d else C0_EXACT,
     )
 
 

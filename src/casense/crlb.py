@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sigma_for_snr
-from .config import Block, CaConfig, Comb, BandConfig, Scheme, validate, with_high_band_spacing
-from .errors import InvalidNoiseLevel, SingularFisher, UnsupportedScheme
+from .config import Block, CaConfig, Comb, BandConfig, Scheme, with_high_band_spacing
+from .errors import InvalidNoiseLevel, InvalidTarget, SingularFisher, UnsupportedScheme
 from .grids import pilot_index_sets
 
 TWO_PI = 2.0 * np.pi
@@ -41,8 +41,8 @@ class CrlbInputs:
     sigma: float = 1.0  # per-component noise std
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise InvalidTarget(f"gain h {self.h} must be finite and positive")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidNoiseLevel(f"sigma {self.sigma} must be finite and positive for a bound")
 
@@ -124,14 +124,14 @@ def crlb_closed_form(inputs: CrlbInputs) -> CrlbReport:
     the closed forms agree with ``fisher_oracle`` to machine precision.
     Numbers that matter should come from ``crlb_oracle`` for that one case.
     """
-    cfg = validate(inputs.cfg)
+    cfg = inputs.cfg
     c0, h, sigma = cfg.c0, inputs.h, inputs.sigma
     n = cfg.high.n_subcarriers
     m = cfg.high.n_symbols
     if cfg.low.n_subcarriers != n or cfg.low.n_symbols != m:
         raise UnsupportedScheme("closed forms assume equal N and M across bands")
     df1, df2 = cfg.low.delta_f, cfg.high.delta_f
-    g = cfg.low.symbol_duration * cfg.low.fc  # = T2 * fc2 after validation
+    g = cfg.low.symbol_duration * cfg.low.fc  # = T2 * fc2, as CaConfig guarantees
     pre = 3.0 * c0 * c0 * sigma * sigma / (8.0 * np.pi**2 * h * h)
 
     scheme = cfg.scheme

@@ -22,18 +22,18 @@ unambiguous prefix of M/Q bins.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelInfoMatrix
-from .config import Block, CaConfig, Comb, Scheme, range_bin_width, validate, velocity_bin_width
-from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
+from .config import Block, CaConfig, Comb, Scheme, range_bin_width, velocity_bin_width
+from .errors import NonFiniteSpectrum, SchemeMismatch
 from .fusion import build_range_selection
 from .grids import pilot_slices
-from .recovery import FORWARD, SensingOperator, fista_iterations, lasso_lambda, soft_threshold
+from .recovery import (
+    FORWARD, SensingOperator, check_solver_knobs, fista_iterations, lasso_lambda, soft_threshold
+)
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,7 @@ class SolverOptions:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("lambda_scale", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidSolverOptions(f"{name} {value} must be finite and nonnegative")
-        iters = self.max_iters
-        if isinstance(iters, bool) or not (isinstance(iters, numbers.Integral) and iters >= 1):
-            raise InvalidSolverOptions(f"max_iters {iters!r} must be an integer >= 1")
+        check_solver_knobs(self.max_iters, lambda_scale=self.lambda_scale, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,8 @@ def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[i
         raise ValueError("k must be >= 1")
     if guard < 0:
         raise ValueError("guard must be >= 0")
+    if not np.isfinite(spectrum.values).all():
+        raise NonFiniteSpectrum("spectrum holds NaN or inf values")
     work = spectrum.values.astype(float).copy()
     out: list[tuple[int, float]] = []
     for _ in range(k):
@@ -240,10 +236,8 @@ def estimate_any_scheme(
     FFT pilot rows for velocity), averaged in physical units because the
     bands' bin widths differ.
 
-    Raises what ``validate`` raises for an inconsistent cfg, and
-    SchemeMismatch if the matrices do not come from cfg's bands.
+    Raises SchemeMismatch if the matrices do not come from cfg's bands.
     """
-    validate(cfg)
     if d_low.band != cfg.low or d_high.band != cfg.high:
         raise SchemeMismatch("channel matrices do not come from the configured bands")
     if cfg.scheme is Scheme.CA1:

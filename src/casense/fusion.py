@@ -20,6 +20,7 @@ import numpy as np
 from .channel import ChannelInfoMatrix
 from .config import BandConfig, Comb
 from .errors import PatternMismatch
+from .grids import pilot_slices
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,10 @@ def rearrange_low_band(d: ChannelInfoMatrix, k_ratio: int) -> RearrangedMatrix:
         raise PatternMismatch(
             f"expected a comb band with interval {k_ratio}, got {d.band.pilot!r}"
         )
-    n = d.values.shape[0]
-    valid = n // k_ratio
+    rows = d.values[pilot_slices(d.band)]
     out = np.zeros_like(d.values)
-    out[:valid] = d.values[::k_ratio]
-    return RearrangedMatrix(values=out, valid_rows=valid, provenance=d.band)
+    out[: len(rows)] = rows
+    return RearrangedMatrix(values=out, valid_rows=len(rows), provenance=d.band)
 
 
 def build_range_selection(valid_rows: int, n: int) -> np.ndarray:

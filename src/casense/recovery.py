@@ -12,6 +12,8 @@ with complex (phase-preserving) soft thresholding.
 from __future__ import annotations
 
 import atexit
+import math
+import numbers
 import os
 import pickle
 import sys
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSolverOptions
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -90,6 +92,15 @@ class SensingOperator:
         )
 
 
+def check_solver_knobs(max_iters, **nonnegative) -> None:
+    """Raise InvalidSolverOptions unless each keyword is finite and >= 0 and max_iters an int >= 1."""
+    for name, value in nonnegative.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidSolverOptions(f"{name} {value} must be finite and nonnegative")
+    if isinstance(max_iters, bool) or not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise InvalidSolverOptions(f"max_iters {max_iters!r} must be an integer >= 1")
+
+
 @dataclass
 class LassoProblem:
     operator: SensingOperator
@@ -104,8 +115,7 @@ class LassoProblem:
             raise DimensionMismatch(
                 f"observations must have shape ({self.operator.n_measurements},)"
             )
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        check_solver_knobs(self.max_iters, lam=self.lam, tol=self.tol)
         self.observations = d
 
 
@@ -186,8 +196,7 @@ def fista_iterations(
     thread. So the caller allocates buffers only for the blocks it solves.
     The result does not depend on the number of blocks or where they ran.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_solver_knobs(max_iters, tol=tol)
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != op.n_measurements:
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")

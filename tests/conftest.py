@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
-from casense.config import BandConfig, Block, CaConfig, Comb, Scheme, validate
+from casense.config import BandConfig, Block, CaConfig, Comb, Scheme
 
 # Property tests draw the same examples on every run and carry no wall-clock
 # deadline, so a loaded machine cannot fail them.
@@ -20,13 +20,11 @@ def lattice_config(n, m, k, q, scheme):
     low_kind, high_kind = scheme.patterns
     low_pilot = Comb(k) if low_kind is Comb else Block(q)
     high_pilot = Comb(k) if high_kind is Comb else Block(q)
-    return validate(
-        CaConfig(
-            low=BandConfig(5.9e9, df1, n, m, t1 - 1 / df1, low_pilot),
-            high=BandConfig(24e9, df2, n, m, t_cp2, high_pilot),
-            scheme=scheme,
-            c0=3e8,
-        )
+    return CaConfig(
+        low=BandConfig(5.9e9, df1, n, m, t1 - 1 / df1, low_pilot),
+        high=BandConfig(24e9, df2, n, m, t_cp2, high_pilot),
+        scheme=scheme,
+        c0=3e8,
     )
 
 

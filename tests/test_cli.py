@@ -3,7 +3,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import casense.estimators
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
-from casense.config import CaConfig, config_to_dict, make_table3_config, save_config
+from casense.config import config_to_dict, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
 from casense.grids import CSV_FLOAT_FMT
@@ -170,11 +169,9 @@ def test_bad_solver_or_target_flags_are_usage_errors(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
-    cfg = make_table3_config()
-    bad = CaConfig(
-        low=replace(cfg.low, delta_f=30e3), high=replace(cfg.high, delta_f=100e3), scheme=cfg.scheme
-    )  # spacing ratio 10/3
-    save_config(bad, tmp_path / "bad.json")
+    doc = config_to_dict(make_table3_config())
+    doc["high"]["delta_f"] = 100e3  # spacing ratio 10/3
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as info:
         main([command, "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")])
     assert info.value.code == 2

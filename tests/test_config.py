@@ -17,7 +17,6 @@ from casense.config import (
     make_table3_config,
     range_bin_width,
     save_config,
-    validate,
     velocity_bin_width,
     with_high_band_spacing,
     with_scheme,
@@ -30,6 +29,7 @@ from casense.errors import (
     SchemeMismatch,
     VelocityFusionConstraintViolated,
 )
+from conftest import lattice_config
 
 
 def test_table3_config_is_valid():
@@ -84,7 +84,7 @@ def test_spacing_ratio_must_be_integer():
     low = replace(cfg.low, delta_f=30e3)
     high = replace(cfg.high, delta_f=100e3)  # ratio 10/3
     with pytest.raises(NonIntegerSpacingRatio):
-        validate(CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=cfg.c0))
+        CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=cfg.c0)
 
 
 def test_pilot_interval_must_divide():
@@ -98,7 +98,7 @@ def test_velocity_fusion_constraint_reports_residual():
     cfg = make_table3_config()
     low = replace(cfg.low, t_cp=cfg.low.t_cp + 1e-6)
     with pytest.raises(VelocityFusionConstraintViolated) as err:
-        validate(CaConfig(low=low, high=cfg.high, scheme=Scheme.CA1, c0=cfg.c0))
+        CaConfig(low=low, high=cfg.high, scheme=Scheme.CA1, c0=cfg.c0)
     assert "T1*fc1" in str(err.value)
 
 
@@ -106,19 +106,44 @@ def test_comb_interval_tied_to_spacing_ratio_in_ca1():
     cfg = make_table3_config()
     low = replace(cfg.low, pilot=Comb(2))  # ratio is 4
     with pytest.raises(SchemeMismatch):
-        validate(CaConfig(low=low, high=cfg.high, scheme=Scheme.CA1, c0=cfg.c0))
+        CaConfig(low=low, high=cfg.high, scheme=Scheme.CA1, c0=cfg.c0)
 
 
 def test_pattern_scheme_agreement():
     cfg = make_table3_config()
-    swapped = CaConfig(low=cfg.high, high=cfg.low, scheme=Scheme.CA1, c0=cfg.c0)
     with pytest.raises((SchemeMismatch, NonIntegerSpacingRatio)):
-        validate(swapped)
+        CaConfig(low=cfg.high, high=cfg.low, scheme=Scheme.CA1, c0=cfg.c0)
 
 
-def test_validate_is_idempotent():
-    cfg = make_table3_config()
-    assert validate(validate(cfg)) is cfg
+# one broken invariant each: (field path in the JSON document, bad value, error, message start)
+BROKEN_INVARIANTS = {
+    "spacing-ratio": (("high", "delta_f"), 100e3, NonIntegerSpacingRatio, "delta_f ratio 3.33"),
+    "T*fc": (("low", "t_cp"), 7e-6, VelocityFusionConstraintViolated, "|T1*fc1 - T2*fc2| = "),
+    "pattern": (("low", "pilot"), {"kind": "block", "interval": 4}, SchemeMismatch,
+                "scheme CA1 expects low=Comb, high=Block; got low=Block, high=Block"),
+    "comb-interval": (("low", "pilot"), {"kind": "comb", "interval": 2}, SchemeMismatch,
+                      "comb interval 2 must equal the spacing ratio 4 in scheme CA1"),
+}
+
+
+def _band_from_doc(band: dict) -> BandConfig:
+    pilot = (Comb if band["pilot"]["kind"] == "comb" else Block)(band["pilot"]["interval"])
+    return BandConfig(band["fc"], band["delta_f"], band["n_subcarriers"], band["n_symbols"],
+                      band["t_cp"], pilot)
+
+
+@pytest.mark.parametrize("case", list(BROKEN_INVARIANTS))
+def test_each_aggregation_invariant_raises_when_built(case):
+    (section, key), value, error, message = BROKEN_INVARIANTS[case]
+    doc = config_to_dict(make_table3_config())
+    doc[section][key] = value
+    with pytest.raises(error) as from_dict:
+        config_from_dict(doc)
+    assert str(from_dict.value).startswith(message)
+    low, high = (_band_from_doc(doc[name]) for name in ("low", "high"))
+    with pytest.raises(error) as built:
+        CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=3e8)
+    assert str(built.value) == str(from_dict.value)
 
 
 def test_k_ratio_exact():
@@ -173,8 +198,10 @@ def test_with_high_band_spacing_preserves_constraints():
     assert g1 == pytest.approx(g2, rel=1e-14)
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = make_table3_config(scheme=Scheme.CA2)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("n, m, k, q", [(512, 64, 4, 4), (8, 6, 2, 3), (12, 10, 3, 5)])
+def test_config_file_round_trip(tmp_path, scheme, n, m, k, q):
+    cfg = lattice_config(n, m, k, q, scheme)
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -182,7 +209,7 @@ def test_config_file_round_trip(tmp_path):
     # file is a readable nested key/value document with plain decimals
     doc = json.loads(path.read_text())
     assert doc["low"]["fc"] == 5.9e9
-    assert doc["high"]["pilot"]["kind"] == "comb"
+    assert doc["high"]["pilot"]["kind"] == ("comb" if scheme in (Scheme.CA2, Scheme.CA4) else "block")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -220,10 +247,14 @@ def test_ca_config_rejects_bad_c0_where_built(c0):
 
 
 def test_high_band_spacing_needing_a_negative_cp_is_invalid_config():
-    cfg = make_table3_config()
-    # fc ratio 2 < spacing ratio 4: T1 = 2 T2 is shorter than the low band's 1/delta_f
-    close = CaConfig(low=replace(cfg.low, fc=12e9), high=cfg.high, scheme=cfg.scheme, c0=cfg.c0)
-    with pytest.raises(InvalidConfig):
+    # fc ratio 2 < spacing ratio 4: T1 = 2 T2 needs T2 >= 2/delta_f_high, so the 1.33 us
+    # high-band CP must cover 1/delta_f_high; it does at 1.2 MHz and not at 120 kHz
+    high = BandConfig(24e9, 1.2e6, 512, 64, 1.33e-6, Block(4))
+    t_cp_low = (1 / 1.2e6 + 1.33e-6) * 24e9 / 12e9 - 1 / 0.3e6
+    assert t_cp_low > 0
+    low = BandConfig(12e9, 0.3e6, 512, 64, t_cp_low, Comb(4))
+    close = CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=3e8)
+    with pytest.raises(InvalidConfig, match="negative low-band CP"):
         with_high_band_spacing(close, 120e3)
 
 

@@ -10,13 +10,14 @@ from casense.channel import (
     sigma_for_snr,
     simulate_channel_info,
 )
-from casense.config import BandConfig, Block, CaConfig, Comb, Scheme, make_table3_config, with_scheme
+from casense.config import BandConfig, Block, Comb, Scheme, make_table3_config, with_scheme
+from casense.crlb import CrlbInputs
 from casense.errors import (
     CasenseError,
     InvalidSolverOptions,
+    InvalidTarget,
     NonFiniteSpectrum,
     SchemeMismatch,
-    VelocityFusionConstraintViolated,
 )
 from casense.estimators import (
     PowerSpectrum,
@@ -185,19 +186,6 @@ def test_dispatch_values_are_peak_bins_times_bin_width(scheme):
         assert v_b.value == pytest.approx(v_b.peak_bin * w_v, rel=1e-12)
 
 
-def test_velocity_constraint_rechecked(table3):
-    from dataclasses import replace
-
-    bad_low = replace(table3.low, t_cp=table3.low.t_cp + 2e-6)
-    bad = CaConfig(low=bad_low, high=table3.high, scheme=Scheme.CA1, c0=table3.c0)
-    tx = generate_tx_grid(bad_low, seed=0)
-    d_low = simulate_channel_info(tx, TargetScene((Target(10.0, 5.0),), 0.0), c0=C0)
-    tx_h = generate_tx_grid(table3.high, seed=1)
-    d_high = simulate_channel_info(tx_h, TargetScene((Target(10.0, 5.0),), 0.0), c0=C0)
-    with pytest.raises(VelocityFusionConstraintViolated):
-        estimate_any_scheme(d_low, d_high, bad)
-
-
 def scheme_pair(scheme, target, snr_db=None, seed=0):
     cfg = with_scheme(make_table3_config(), scheme)
     return cfg, channel_pair(cfg, target, snr_db=snr_db, seed=seed)
@@ -343,6 +331,30 @@ def test_peak_estimate_rejects_non_finite_spectrum(bad):
     values = np.array([0.1, 0.5, bad, 0.2])
     with pytest.raises(NonFiniteSpectrum):
         peak_estimate(PowerSpectrum(values, 1.0), "range")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda op: LassoProblem(op, np.ones(4, complex), lam=NAN), InvalidSolverOptions),
+        (lambda op: LassoProblem(op, np.ones(4, complex), lam=float("inf")), InvalidSolverOptions),
+        (lambda op: LassoProblem(op, np.ones(4, complex), lam=0.1, tol=NAN), InvalidSolverOptions),
+        (lambda op: fista_iterations(op, np.ones(4, complex), 0.1, 2.5, 1e-6), InvalidSolverOptions),
+        (lambda op: fista_iterations(op, np.ones(4, complex), 0.1, 5, NAN), InvalidSolverOptions),
+        (lambda op: CrlbInputs(make_table3_config(), h=NAN), InvalidTarget),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, NAN, 0.2]), 1.0), 1), NonFiniteSpectrum),
+    ],
+    ids=["lasso-lam-nan", "lasso-lam-inf", "lasso-tol-nan", "fista-max-iters-2.5", "fista-tol-nan",
+         "crlb-h-nan", "top-k-peaks-nan"],
+)
+def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, error):
+    op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
+    with pytest.raises(error) as info:
+        build(op)
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
 
 
 def _divisor_pairs(ms):
