@@ -15,6 +15,7 @@ from casense import (
     TargetScene,
     generate_tx_grid,
     make_table3_config,
+    pilot_mask,
     sigma_for_snr,
     simulate_channel_info,
 )
@@ -31,12 +32,11 @@ print(f"  T1*fc1 = {cfg.low.symbol_duration*cfg.low.fc:.1f} = "
 
 # pilot layouts, sketched over a small corner of each grid
 for name, band in (("low", cfg.low), ("high", cfg.high)):
-    grid = generate_tx_grid(band, seed=0)
-    corner = grid.mask[:8, :8]
+    mask = pilot_mask(band)
     print(f"\n{name} band pilot mask (first 8 subcarriers x 8 symbols):")
-    for row in corner:
+    for row in mask[:8, :8]:
         print("   " + "".join("#" if x else "." for x in row))
-    print(f"  occupied resource elements: {int(grid.mask.sum())} of {grid.mask.size}")
+    print(f"  occupied resource elements: {int(mask.sum())} of {mask.size}")
 
 # a single point target imprints phase ramps on the pilot positions
 target = Target(range_m=117.0, velocity_mps=30.0, gain=1.0)
@@ -51,7 +51,8 @@ sigma = sigma_for_snr(10.0, target.gain)
 noisy = simulate_channel_info(
     tx, TargetScene((target,), noise_sigma=sigma, seed=42), c0=cfg.c0
 )
-snr_emp = np.mean(np.abs(noiseless.values[noiseless.mask]) ** 2) / np.mean(
-    np.abs(noisy.values[noisy.mask] - noiseless.values[noiseless.mask]) ** 2
+pilots = pilot_mask(cfg.high)
+snr_emp = np.mean(np.abs(noiseless.values[pilots]) ** 2) / np.mean(
+    np.abs(noisy.values[pilots] - noiseless.values[pilots]) ** 2
 )
 print(f"empirical per-sample SNR at nominal 10 dB: {10*np.log10(snr_emp):.2f} dB")

@@ -46,18 +46,12 @@ from .estimators import (
     estimate_band_velocity,
     top_k_peaks,
 )
-from .fusion import (
-    RearrangedMatrix,
-    build_range_selection,
-    build_velocity_selection,
-    rearrange_low_band,
-)
+from .fusion import RearrangedMatrix, build_range_selection, rearrange_low_band
 from .grids import TxGrid, generate_tx_grid, pilot_index_sets, pilot_mask
 from .harness import (
     ExperimentSpec,
     SweepResult,
     SweepRow,
-    compare_pilots,
     run_high_band_baseline,
     run_sweep,
     snapshot_spectra,

@@ -5,7 +5,8 @@ A target at range R and closing velocity v imprints a phase ramp
 ``exp(+j 2 pi m T 2 v fc/c0)`` across symbols. Dividing the received pilot
 symbols by the known unit-modulus transmit symbols leaves exactly these
 ramps (times the complex gain) plus noise of unchanged distribution: the
-channel information matrix.
+channel information matrix. Its pilot positions are those of its band,
+``grids.pilot_slices(band)``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class TargetScene:
 class ChannelInfoMatrix:
     """Received-over-transmitted symbol ratios on the pilot positions."""
 
-    values: np.ndarray  # complex, (N, M), zero off-mask
-    mask: np.ndarray  # bool, (N, M)
+    values: np.ndarray  # complex, (N, M), zero off the band's pilots
     band: BandConfig
 
 
@@ -127,10 +127,10 @@ def simulate_channel_info(
     if scene.noise_sigma > 0:
         # Both draws cover the whole grid, so a pilot's noise does not depend on the pattern.
         rng = np.random.default_rng(scene.seed)
-        re, im = rng.standard_normal(tx.mask.shape), rng.standard_normal(tx.mask.shape)
+        re, im = rng.standard_normal(tx.symbols.shape), rng.standard_normal(tx.symbols.shape)
         w = re[pilots] + 1j * im[pilots]
         w *= scene.noise_sigma / np.sqrt(2.0)
         h += w / tx.symbols[pilots]
-    values = np.zeros(tx.mask.shape, dtype=complex)
+    values = np.zeros(tx.symbols.shape, dtype=complex)
     values[pilots] = h
-    return ChannelInfoMatrix(values=values, mask=tx.mask.copy(), band=band)
+    return ChannelInfoMatrix(values=values, band=band)

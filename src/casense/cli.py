@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: simulate, estimate, crlb, sweep, compare-pilots. Every CSV is
-written by grids.write_csv, so repeated runs are byte-identical.
+Subcommands: simulate, estimate, crlb, sweep, compare-pilots (a sweep over
+all four schemes). Every CSV is written by grids.write_csv, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .config import CaConfig, Scheme, load_config, make_table3_config, with_sche
 from .crlb import crlb_sweep
 from .errors import CasenseError, InvalidSnrGrid
 from .estimators import SolverOptions, estimate_any_scheme
-from .grids import dump_grid_csv, write_csv
+from .grids import dump_grid_csv, pilot_mask, write_csv
 from .harness import (
     ExperimentSpec,
-    compare_pilots,
     run_sweep,
     simulate_trial_matrices,
     spectrum_rows,
@@ -172,10 +172,10 @@ def _run(args) -> None:
         return
 
     target = Target(args.range_m, args.velocity, args.gain)
-    if args.command == "sweep":
+    if args.command in ("sweep", "compare-pilots"):
         spec = ExperimentSpec(
             cfg=cfg,
-            schemes=(cfg.scheme,),
+            schemes=(cfg.scheme,) if args.command == "sweep" else tuple(Scheme),
             target=target,
             snr_grid=tuple(_parse_snr(args.snr)),
             trials=args.trials,
@@ -183,19 +183,6 @@ def _run(args) -> None:
             solver=_solver(args),
         )
         write_sweep_csv(run_sweep(spec), args.out)
-        print(f"wrote {args.out}")
-        return
-
-    if args.command == "compare-pilots":
-        result = compare_pilots(
-            cfg,
-            target,
-            _parse_snr(args.snr),
-            trials=args.trials,
-            master_seed=args.seed,
-            solver=_solver(args),
-        )
-        write_sweep_csv(result, args.out)
         print(f"wrote {args.out}")
         return
 
@@ -207,8 +194,8 @@ def _run(args) -> None:
         cfg, target, sigma_for_snr(snr[0], target.gain), (args.seed, 0, 0, 0)
     )
     if args.command == "simulate":
-        dump_grid_csv(d_low.values, d_low.mask, f"{args.out}_low.csv")
-        dump_grid_csv(d_high.values, d_high.mask, f"{args.out}_high.csv")
+        for kind, d in (("low", d_low), ("high", d_high)):
+            dump_grid_csv(d.values, pilot_mask(d.band), f"{args.out}_{kind}.csv")
         print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
         return
     r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, _solver(args))

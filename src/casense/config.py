@@ -221,13 +221,7 @@ def _low_band_cp(fc_low: float, delta_f_low: float, high: BandConfig) -> float:
     return t_cp_low
 
 
-def make_table3_config(
-    scheme: Scheme = Scheme.CA1,
-    t_cp_high: float = 1.33e-6,
-    comb_interval: int = 4,
-    block_interval: int = 4,
-    c0: float = C0_ROUND,
-) -> CaConfig:
+def make_table3_config(scheme: Scheme = Scheme.CA1) -> CaConfig:
     """Canonical 5.9 GHz / 24 GHz vehicular sensing configuration.
 
     fc 5.9/24 GHz, delta_f 30/120 kHz, N=512, M=64, K=Q=4. The high-band CP
@@ -236,32 +230,25 @@ def make_table3_config(
     low-band CP is then derived so that T1*fc1 = T2*fc2 holds exactly, which
     the fused velocity spectrum requires; this yields T1 = 39.3 us.
 
-    Fused bin widths with the default round c0: 2.44140625 m in range and
-    10.1059 m/s in velocity.
+    Fused bin widths with the round c0: 2.44140625 m in range and
+    10.1059 m/s in velocity. Other variants are a config file or a
+    ``CaConfig(...)`` away.
     """
-    pilot = Block(1)  # placeholder: with_scheme sets the scheme's own pilots
-    high = BandConfig(24e9, 120e3, 512, 64, t_cp_high, pilot)
-    low = BandConfig(5.9e9, 30e3, 512, 64, _low_band_cp(5.9e9, 30e3, high), pilot)
-    skeleton = CaConfig(low=low, high=high, scheme=Scheme.CA3, c0=c0)
-    return with_scheme(skeleton, scheme, comb_interval, block_interval)
+    high = BandConfig(24e9, 120e3, 512, 64, 1.33e-6, Block(4))
+    low = BandConfig(5.9e9, 30e3, 512, 64, _low_band_cp(5.9e9, 30e3, high), Comb(4))
+    return with_scheme(CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=C0_ROUND), scheme)
 
 
-def with_scheme(
-    cfg: CaConfig,
-    scheme: Scheme,
-    comb_interval: int | None = None,
-    block_interval: int | None = None,
-) -> CaConfig:
+def with_scheme(cfg: CaConfig, scheme: Scheme) -> CaConfig:
     """Rebuild cfg with pilot patterns set for another scheme.
 
-    Pilot intervals default to the ones already present in ``cfg`` (falling
-    back to the spacing ratio for combs).
+    Pilot intervals are the ones already present in ``cfg``: the comb's
+    (falling back to the spacing ratio) and the block's (falling back to
+    the comb interval).
     """
     pilots = (cfg.low.pilot, cfg.high.pilot)
-    existing_comb = next((p.interval for p in pilots if isinstance(p, Comb)), cfg.k_ratio)
-    existing_block = next((p.interval for p in pilots if isinstance(p, Block)), existing_comb)
-    k = comb_interval if comb_interval is not None else existing_comb
-    q = block_interval if block_interval is not None else existing_block
+    k = next((p.interval for p in pilots if isinstance(p, Comb)), cfg.k_ratio)
+    q = next((p.interval for p in pilots if isinstance(p, Block)), k)
     low_kind, high_kind = scheme.patterns
     low = replace(cfg.low, pilot=Comb(k) if low_kind is Comb else Block(q))
     high = replace(cfg.high, pilot=Comb(k) if high_kind is Comb else Block(q))

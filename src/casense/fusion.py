@@ -1,4 +1,4 @@
-"""Rearrangement and selection masks that align the two bands' spectra.
+"""Rearrangement and the range selection mask that align the two bands' spectra.
 
 A comb band with interval K samples the range phase ramp at subcarriers
 0, K, 2K, ...; gathering those rows into the leading rows turns the ramp
@@ -6,9 +6,9 @@ into one with effective spacing K*delta_f on consecutive indices. When
 K equals the spacing ratio delta_f_high/delta_f_low, the rearranged low
 band lands on exactly the high band's range-bin grid.
 
-Selection matrices are represented as boolean row masks; the Hadamard
+The selection matrix is represented as a boolean row mask; the Hadamard
 product with a Fourier matrix then becomes a row filter (identical math,
-no rank-deficient square matrices stored).
+no rank-deficient square matrix stored).
 """
 
 from __future__ import annotations
@@ -55,10 +55,3 @@ def build_range_selection(valid_rows: int, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[:valid_rows] = True
     return mask
-
-
-def build_velocity_selection(q: int, m: int) -> np.ndarray:
-    """Periodic mask: True exactly on indices divisible by q."""
-    if q < 1 or m % q:
-        raise ValueError(f"q={q} must divide m={m}")
-    return (np.arange(m) % q) == 0

@@ -1,8 +1,10 @@
-"""Transmit modulation-symbol grids with pilot masks.
+"""Pilot placement and transmit modulation-symbol grids.
 
 Grids are oriented subcarrier-major: rows index subcarriers n, columns index
-OFDM symbols m. Non-pilot resource elements carry zeros; the sensing chain
-only ever reads pilot positions.
+OFDM symbols m. Where a band's pilots sit is recorded once, by
+``pilot_slices(band)``; the mask and index sets below are derived from it.
+Non-pilot resource elements carry zeros; the sensing chain only ever reads
+pilot positions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class TxGrid:
     """N x M transmit grid: unit-modulus symbols on pilot positions, zeros off."""
 
     symbols: np.ndarray  # complex, (N, M)
-    mask: np.ndarray  # bool, (N, M)
     band: BandConfig
 
 
@@ -69,7 +70,7 @@ def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
     symbols = np.zeros((band.n_subcarriers, band.n_symbols), dtype=complex)
     view = symbols[pilots]
     view[...] = _QPSK[rng.integers(0, 4, size=view.shape)]
-    return TxGrid(symbols=symbols, mask=pilot_mask(band), band=band)
+    return TxGrid(symbols=symbols, band=band)
 
 
 def write_csv(path, header, rows) -> None:

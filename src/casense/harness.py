@@ -1,14 +1,16 @@
 """Monte-Carlo experiment driver: RMSE sweeps, baselines, spectrum snapshots.
 
-Trial seeds are derived from the master seed by counters (scheme, SNR
-point, trial, stream), so runs are deterministic regardless of how trials
-would be distributed. A failed trial aborts the run; silently skipping
+A sweep over several schemes, such as all four pilot structures on one SNR
+grid, is one ``run_sweep`` of an ``ExperimentSpec`` listing them. Trial
+seeds are derived from the master seed by counters (scheme, SNR point,
+trial, stream), so runs are deterministic regardless of how trials would be
+distributed. A failed trial aborts the run; silently skipping
 trials would bias the RMSE.
 """
 
 from __future__ import annotations
 
-import time
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simulate_channel_info
 from .config import CaConfig, Scheme, with_scheme
 from .crlb import crlb_oracle, CrlbInputs, sigma_from_snr
+from .errors import InvalidConfig
 from .estimators import (
     Estimate,
     SolverOptions,
@@ -42,12 +45,17 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_trials(self.trials)
         if not self.snr_grid:
-            raise ValueError("snr grid must be nonempty")
+            raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:
-            raise ValueError("need at least one scheme")
+            raise InvalidConfig("need at least one scheme")
+
+
+def _check_trials(trials) -> None:
+    """Raise InvalidConfig unless trials is an integer >= 1 (a bool is not)."""
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise InvalidConfig(f"trials {trials!r} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,6 @@ class SweepRow:
     rcrlb_range: float
     rcrlb_velocity: float
     trials: int
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         cfg = spec.cfg if spec.cfg.scheme is scheme else with_scheme(spec.cfg, scheme)
         for snr_idx, snr_db in enumerate(spec.snr_grid):
             noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
-            t0 = time.perf_counter()
             sq_r = 0.0
             sq_v = 0.0
             for trial in range(spec.trials):
@@ -131,7 +137,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                 r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, spec.solver)
                 sq_r += (r_est.value - target.range_m) ** 2
                 sq_v += (v_est.value - target.velocity_mps) ** 2
-            wall = time.perf_counter() - t0
             if noise_sigma > 0:
                 rep = crlb_oracle(
                     CrlbInputs(
@@ -152,7 +157,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                     rcrlb_range=rcrlb_r,
                     rcrlb_velocity=rcrlb_v,
                     trials=spec.trials,
-                    wall_time_s=wall,
                 )
             )
     return SweepResult(rows=tuple(rows))
@@ -168,6 +172,7 @@ def run_high_band_baseline(
 ) -> list[dict]:
     """Single-band references: block high band for range, comb high band
     for velocity (each is the high-band half of the matching pipeline)."""
+    _check_trials(trials)
     cfg_block = cfg if cfg.scheme is Scheme.CA1 else with_scheme(cfg, Scheme.CA1)
     cfg_comb = with_scheme(cfg, Scheme.CA4)
     rows = []
@@ -195,27 +200,6 @@ def run_high_band_baseline(
             }
         )
     return rows
-
-
-def compare_pilots(
-    cfg: CaConfig,
-    target: Target,
-    snr_grid,
-    trials: int = 100,
-    master_seed: int = 0,
-    solver: SolverOptions = SolverOptions(),
-) -> SweepResult:
-    """All four pilot structures on one SNR grid."""
-    spec = ExperimentSpec(
-        cfg=cfg,
-        schemes=(Scheme.CA1, Scheme.CA2, Scheme.CA3, Scheme.CA4),
-        target=target,
-        snr_grid=tuple(snr_grid),
-        trials=trials,
-        master_seed=master_seed,
-        solver=solver,
-    )
-    return run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------

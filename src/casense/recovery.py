@@ -93,10 +93,12 @@ class SensingOperator:
 
 
 def check_solver_knobs(max_iters, **nonnegative) -> None:
-    """Raise InvalidSolverOptions unless each keyword is finite and >= 0 and max_iters an int >= 1."""
+    """Raise InvalidSolverOptions unless every value of each keyword (a number or an
+    array) is finite and >= 0 and max_iters is an int >= 1; name the first bad value."""
     for name, value in nonnegative.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise InvalidSolverOptions(f"{name} {value} must be finite and nonnegative")
+        bad = [v for v in np.ravel(value) if not (math.isfinite(v) and v >= 0)]
+        if bad:
+            raise InvalidSolverOptions(f"{name} {bad[0]} must be finite and nonnegative")
     if isinstance(max_iters, bool) or not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
         raise InvalidSolverOptions(f"max_iters {max_iters!r} must be an integer >= 1")
 
@@ -161,7 +163,7 @@ def fista_iterations(
     tol: float,
     momentum: bool = True,
 ):
-    """Shared FISTA/ISTA core. d may be (p,) or (p, batch); lam scalar or per-column.
+    """Shared FISTA/ISTA core. d may be (p,) or (p, batch); lam scalar or per-column, >= 0.
 
     The step is 1/L with L = ||A||^2, and L is exactly 1: A keeps rows of a
     unitary DFT, so A A* = I. Each iteration takes one proximal gradient
@@ -196,7 +198,7 @@ def fista_iterations(
     thread. So the caller allocates buffers only for the blocks it solves.
     The result does not depend on the number of blocks or where they ran.
     """
-    check_solver_knobs(max_iters, tol=tol)
+    check_solver_knobs(max_iters, lam=lam, tol=tol)
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != op.n_measurements:
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")

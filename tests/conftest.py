@@ -9,6 +9,27 @@ settings.register_profile("casense", derandomize=True, deadline=None)
 settings.load_profile("casense")
 
 
+# The numpy build the CLI and demo sha256 pins were recorded under: float
+# results, and so the bytes, may differ under another version or SIMD dispatch.
+PINNED_BUILD = "numpy 2.4.6, baseline X86_V2, dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def pin_mismatch() -> str:
+    """Message of a failed byte pin: the build it was recorded under and the running one."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    dispatch = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    running = f"numpy {np.__version__}, baseline {' '.join(__cpu_baseline__)}, dispatch {dispatch}"
+    return f"pinned under {PINNED_BUILD}; running {running}"
+
+
+def build_velocity_selection(q: int, m: int) -> np.ndarray:
+    """Periodic mask: True exactly on indices divisible by q (the block band's pilot symbols)."""
+    if q < 1 or m % q:
+        raise ValueError(f"q={q} must divide m={m}")
+    return (np.arange(m) % q) == 0
+
+
 def lattice_config(n, m, k, q, scheme):
     """Valid aggregated config on the bound-check lattice: spacing ratio = k,
     velocity-fusion constraint satisfied by construction."""

@@ -20,7 +20,7 @@ from casense.crlb import (
     crlb_sweep,
 )
 from casense.estimators import SolverOptions, estimate_any_scheme
-from casense.fusion import build_range_selection, build_velocity_selection
+from casense.fusion import build_range_selection
 from casense.harness import (
     ExperimentSpec,
     run_high_band_baseline,
@@ -36,7 +36,7 @@ from casense.recovery import (
     solve_fista,
     solve_omp,
 )
-from conftest import lattice_config, log_likelihood, score, signal_model
+from conftest import build_velocity_selection, lattice_config, log_likelihood, score, signal_model
 
 FAST = SolverOptions(max_iters=40, tol=1e-4)
 

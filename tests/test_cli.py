@@ -14,9 +14,10 @@ from casense.cli import MAX_SNR_POINTS, _parse_snr, main
 from casense.config import config_to_dict, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
-from casense.grids import CSV_FLOAT_FMT
+from casense.grids import CSV_FLOAT_FMT, pilot_mask
 from casense.harness import simulate_trial_matrices
 from casense.recovery import FORWARD
+from conftest import pin_mismatch
 
 
 def read_csv(path):
@@ -323,7 +324,7 @@ def test_simulate_subcommand(tmp_path):
         values = (cells[:, 0] + 1j * cells[:, 1]).reshape(512, 64)
         assert values.view(np.int64).tobytes() == mat.values.view(np.int64).tobytes()
         mask = np.array([int(r[4]) for r in rows[1:]], dtype=bool).reshape(512, 64)
-        assert np.array_equal(mask, mat.mask)
+        assert np.array_equal(mask, pilot_mask(mat.band))
 
 
 def test_crlb_subcommand(tmp_path):
@@ -477,7 +478,9 @@ def test_estimate_prints_recorded_line(tmp_path, capsys, scheme, seed, line):
 
 
 # sha256 of each invocation's stdout followed by its output files, recorded
-# before the four schemes shared one estimation path (numpy 2.4, x86-64).
+# before the four schemes shared one estimation path. They hold under numpy
+# 2.4.6 on x86-64 with SIMD baseline X86_V2 and dispatch X86_V3 X86_V4
+# AVX512_ICL AVX512_SPR; a failing pin names the running build.
 PINNED_OUTPUTS = [
     (
         ["simulate", "--out", "sim", "--snr", "5", "--seed", "1"],
@@ -532,4 +535,4 @@ def test_cli_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, files, dig
     h = hashlib.sha256(capsys.readouterr().out.encode())
     for name in files:
         h.update((tmp_path / name).read_bytes())
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == digest, pin_mismatch()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casense.config import (
     C0_EXACT,
@@ -160,32 +162,29 @@ def test_with_scheme_builds_each_structure(scheme):
     assert cfg.low.pilot.interval == 4 and cfg.high.pilot.interval == 4
 
 
-# low-band CPs recorded before make_table3_config was built from with_scheme
+# the low-band CP recorded before make_table3_config was built from with_scheme
 # and with_high_band_spacing; every other field is a literal of Table 3
 T_CP_LOW_133 = 5.975141242937854e-06  # t_cp_high = 1.33 us
-T_CP_LOW_200 = 8.70056497175141e-06  # t_cp_high = 2 us
 
 
 @pytest.mark.parametrize(
-    "kwargs, t_cp_high, t_cp_low, low_pilot, high_pilot",
+    "scheme, low_pilot, high_pilot",
     [
-        ({"scheme": Scheme.CA1}, 1.33e-6, T_CP_LOW_133, Comb(4), Block(4)),
-        ({"scheme": Scheme.CA2}, 1.33e-6, T_CP_LOW_133, Block(4), Comb(4)),
-        ({"scheme": Scheme.CA3}, 1.33e-6, T_CP_LOW_133, Block(4), Block(4)),
-        ({"scheme": Scheme.CA4}, 1.33e-6, T_CP_LOW_133, Comb(4), Comb(4)),
-        ({"scheme": Scheme.CA4, "block_interval": 3}, 1.33e-6, T_CP_LOW_133, Comb(4), Comb(4)),
-        ({"t_cp_high": 2e-6, "block_interval": 8}, 2e-6, T_CP_LOW_200, Comb(4), Block(8)),
+        (Scheme.CA1, Comb(4), Block(4)),
+        (Scheme.CA2, Block(4), Comb(4)),
+        (Scheme.CA3, Block(4), Block(4)),
+        (Scheme.CA4, Comb(4), Comb(4)),
     ],
-    ids=["CA1", "CA2", "CA3", "CA4", "CA4-unused-block-interval", "CA1-cp2us-q8"],
+    ids=["CA1", "CA2", "CA3", "CA4"],
 )
-def test_table3_config_matches_recorded(kwargs, t_cp_high, t_cp_low, low_pilot, high_pilot):
+def test_table3_config_matches_recorded(scheme, low_pilot, high_pilot):
     expected = CaConfig(
-        low=BandConfig(5.9e9, 30e3, 512, 64, t_cp_low, low_pilot),
-        high=BandConfig(24e9, 120e3, 512, 64, t_cp_high, high_pilot),
-        scheme=kwargs.get("scheme", Scheme.CA1),
+        low=BandConfig(5.9e9, 30e3, 512, 64, T_CP_LOW_133, low_pilot),
+        high=BandConfig(24e9, 120e3, 512, 64, 1.33e-6, high_pilot),
+        scheme=scheme,
         c0=3e8,
     )
-    assert make_table3_config(**kwargs) == expected  # dataclass equality: exact floats
+    assert make_table3_config(scheme) == expected  # dataclass equality: exact floats
 
 
 def test_with_high_band_spacing_preserves_constraints():
@@ -210,6 +209,19 @@ def test_config_file_round_trip(tmp_path, scheme, n, m, k, q):
     doc = json.loads(path.read_text())
     assert doc["low"]["fc"] == 5.9e9
     assert doc["high"]["pilot"]["kind"] == ("comb" if scheme in (Scheme.CA2, Scheme.CA4) else "block")
+
+
+# lattice_config is valid for a spacing ratio k <= 4: above it the low-band CP is negative
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    k=st.integers(1, 4),
+    q=st.integers(1, 8),
+    n_per_comb=st.integers(1, 64),
+    m_per_block=st.integers(1, 16),
+)
+def test_config_dict_json_round_trip_property(scheme, k, q, n_per_comb, m_per_block):
+    cfg = lattice_config(max(2, k * n_per_comb), max(2, q * m_per_block), k, q, scheme)
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 NAN, INF = float("nan"), float("inf")

@@ -33,7 +33,6 @@ from casense.estimators import (
     top_k_peaks,
     velocity_spectrum_block_cs,
 )
-from casense.fusion import build_velocity_selection
 from casense.grids import generate_tx_grid
 from casense.harness import simulate_trial_matrices
 from casense.recovery import (
@@ -44,6 +43,7 @@ from casense.recovery import (
     fista_iterations,
     soft_threshold,
 )
+from conftest import build_velocity_selection
 
 C0 = 3e8
 
@@ -344,11 +344,17 @@ NAN = float("nan")
         (lambda op: LassoProblem(op, np.ones(4, complex), lam=0.1, tol=NAN), InvalidSolverOptions),
         (lambda op: fista_iterations(op, np.ones(4, complex), 0.1, 2.5, 1e-6), InvalidSolverOptions),
         (lambda op: fista_iterations(op, np.ones(4, complex), 0.1, 5, NAN), InvalidSolverOptions),
+        (lambda op: fista_iterations(op, np.ones((4, 2), complex), np.array([0.1, NAN]), 5, 1e-6),
+         InvalidSolverOptions),
+        (lambda op: fista_iterations(op, np.ones((4, 2), complex), np.array([0.1, float("inf")]), 5,
+                                     1e-6), InvalidSolverOptions),
+        (lambda op: fista_iterations(op, np.ones(4, complex), -1.0, 5, 1e-6), InvalidSolverOptions),
         (lambda op: CrlbInputs(make_table3_config(), h=NAN), InvalidTarget),
         (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, NAN, 0.2]), 1.0), 1), NonFiniteSpectrum),
     ],
     ids=["lasso-lam-nan", "lasso-lam-inf", "lasso-tol-nan", "fista-max-iters-2.5", "fista-tol-nan",
-         "crlb-h-nan", "top-k-peaks-nan"],
+         "fista-column-lam-nan", "fista-column-lam-inf", "fista-lam-negative", "crlb-h-nan",
+         "top-k-peaks-nan"],
 )
 def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
@@ -367,10 +373,8 @@ def _velocity_problem(m, q, rows, seed):
     rng = np.random.default_rng(seed)
     values = np.zeros((rows, m), dtype=complex)
     values[:, ::q] = rng.standard_normal((rows, m // q)) + 1j * rng.standard_normal((rows, m // q))
-    mask = np.zeros((rows, m), dtype=bool)
-    mask[:, ::q] = True
     op = SensingOperator(n=m, direction=INVERSE, row_mask=build_velocity_selection(q, m))
-    return ChannelInfoMatrix(values, mask, band), op, values[:, ::q].T
+    return ChannelInfoMatrix(values, band), op, values[:, ::q].T
 
 
 def _fista_reference(op, cols, lambda_scale):

@@ -4,7 +4,7 @@ import pytest
 from casense.channel import ChannelInfoMatrix, Target, TargetScene, simulate_channel_info
 from casense.config import BandConfig, Block, Comb, make_table3_config
 from casense.errors import PatternMismatch
-from casense.fusion import build_range_selection, build_velocity_selection, rearrange_low_band
+from casense.fusion import build_range_selection, rearrange_low_band
 from casense.grids import generate_tx_grid, pilot_mask
 
 C0 = 3e8
@@ -18,7 +18,7 @@ def comb_matrix(n=8, m=3, k=4, fill=None):
         rng = np.random.default_rng(0)
         fill = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     values[mask] = fill[mask]
-    return ChannelInfoMatrix(values=values, mask=mask, band=band)
+    return ChannelInfoMatrix(values=values, band=band)
 
 
 def test_rearrange_small_example():
@@ -86,9 +86,7 @@ def test_doppler_laws_coincide_across_bands():
 
 def test_rearrange_rejects_block_band():
     band = BandConfig(24e9, 120e3, 8, 4, 1e-6, Block(2))
-    values = np.zeros((8, 4), complex)
-    mask = pilot_mask(band)
-    d = ChannelInfoMatrix(values=values, mask=mask, band=band)
+    d = ChannelInfoMatrix(values=np.zeros((8, 4), complex), band=band)
     with pytest.raises(PatternMismatch):
         rearrange_low_band(d, 2)
 
@@ -108,13 +106,3 @@ def test_build_range_selection():
         build_range_selection(0, 4)
     with pytest.raises(ValueError):
         build_range_selection(5, 4)
-
-
-def test_build_velocity_selection():
-    assert build_velocity_selection(2, 4).tolist() == [True, False, True, False]
-    mask = build_velocity_selection(4, 64)
-    assert mask.sum() == 16
-    assert np.array_equal(np.flatnonzero(mask), np.arange(0, 64, 4))
-    assert build_velocity_selection(1, 6).all()
-    with pytest.raises(ValueError):
-        build_velocity_selection(3, 8)

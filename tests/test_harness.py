@@ -1,7 +1,6 @@
 import math
 import os
 import signal
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +11,10 @@ import casense.harness
 from casense import recovery
 from casense.channel import Target
 from casense.config import Scheme, make_table3_config, with_scheme
+from casense.errors import InvalidConfig
 from casense.estimators import SolverOptions
 from casense.harness import (
     ExperimentSpec,
-    compare_pilots,
     run_high_band_baseline,
     run_sweep,
     snapshot_spectra,
@@ -104,8 +103,7 @@ def test_equal_seeds_give_equal_rows_across_calls(seed, snr_db):
         rows.append(run_sweep(spec).rows)
         os.kill(recovery._helpers[1].pid, signal.SIGKILL)
         rows.append(run_sweep(spec).rows)
-    timeless = [[replace(row, wall_time_s=0.0) for row in call] for call in rows]
-    assert timeless[1] == timeless[0] and timeless[2] == timeless[0]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 def test_sweep_seed_changes_noise(table3):
     # deep in the breakdown region the noise realizations drive the errors
@@ -198,9 +196,11 @@ def test_snapshot_requires_staggered(table3):
 
 
 def test_compare_pilots_covers_all_schemes(table3):
-    res = compare_pilots(
-        table3, Target(117.0, 30.0), snr_grid=(10.0,), trials=1, master_seed=0, solver=FAST
+    spec = ExperimentSpec(
+        cfg=table3, schemes=tuple(Scheme), target=Target(117.0, 30.0), snr_grid=(10.0,),
+        trials=1, master_seed=0, solver=FAST,
     )
+    res = run_sweep(spec)
     assert sorted({r.scheme for r in res.rows}) == ["CA1", "CA2", "CA3", "CA4"]
     for row in res.rows:
         assert abs(row.rmse_range - 0.1875) < 1e-6
@@ -247,9 +247,17 @@ def test_high_band_baseline_rows_pinned_and_simulates_only_the_high_bands(table3
 
 
 def test_experiment_spec_validation(table3):
-    with pytest.raises(ValueError):
+    # rejected when built, with a CasenseError that is also a ValueError
+    with pytest.raises(InvalidConfig):
         ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(), trials=1)
-    with pytest.raises(ValueError):
-        ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), trials=0)
-    with pytest.raises(ValueError):
+    for trials in (0, 1.5, True):
+        with pytest.raises(InvalidConfig, match=f"trials {trials!r} must be an integer >= 1"):
+            ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), trials=trials)
+    with pytest.raises(InvalidConfig):
         ExperimentSpec(table3, (), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
+    assert issubclass(InvalidConfig, ValueError)
+
+
+def test_high_band_baseline_rejects_trials_below_one(table3):
+    with pytest.raises(InvalidConfig, match="trials 0 must be an integer >= 1"):
+        run_high_band_baseline(table3, Target(117.0, 30.0), snr_grid=(10.0,), trials=0)

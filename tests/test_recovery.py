@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from casense import recovery
 from casense.errors import DimensionMismatch
-from casense.fusion import build_range_selection, build_velocity_selection
+from casense.fusion import build_range_selection
 from casense.recovery import (
     FORWARD,
     INVERSE,
@@ -30,6 +30,7 @@ from casense.recovery import (
     solve_omp,
     soft_threshold,
 )
+from conftest import build_velocity_selection
 
 
 def full_mask(n):
@@ -44,6 +45,16 @@ def dense_matrix(op: SensingOperator) -> np.ndarray:
         e[j] = 1.0
         cols.append(op.apply(e))
     return np.stack(cols, axis=1)
+
+
+def test_build_velocity_selection():
+    assert build_velocity_selection(2, 4).tolist() == [True, False, True, False]
+    mask = build_velocity_selection(4, 64)
+    assert mask.sum() == 16
+    assert np.array_equal(np.flatnonzero(mask), np.arange(0, 64, 4))
+    assert build_velocity_selection(1, 6).all()
+    with pytest.raises(ValueError):
+        build_velocity_selection(3, 8)
 
 
 def test_forward_impulse_gives_constant():
