@@ -46,7 +46,7 @@ from .estimators import (
     estimate_band_velocity,
     top_k_peaks,
 )
-from .fusion import RearrangedMatrix, build_range_selection, rearrange_low_band
+from .fusion import build_range_selection, rearrange_low_band
 from .grids import TxGrid, generate_tx_grid, pilot_index_sets, pilot_mask
 from .harness import (
     ExperimentSpec,

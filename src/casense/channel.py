@@ -71,7 +71,7 @@ def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     """
     g = abs(gain)
     if g == 0:
-        raise ValueError("gain must be nonzero")
+        raise InvalidTarget("gain must be nonzero")
     try:
         sigma = g * 10.0 ** (-snr_db / 20.0)
     except OverflowError:

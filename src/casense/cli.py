@@ -17,12 +17,13 @@ from .channel import Target, sigma_for_snr
 from .config import CaConfig, Scheme, load_config, make_table3_config, with_scheme
 from .crlb import crlb_sweep
 from .errors import CasenseError, InvalidSnrGrid
-from .estimators import SolverOptions, estimate_any_scheme
+from .estimators import SolverOptions
 from .grids import dump_grid_csv, pilot_mask, write_csv
 from .harness import (
     ExperimentSpec,
     run_sweep,
     simulate_trial_matrices,
+    snapshot_spectra,
     spectrum_rows,
     write_spectrum_csv,
     write_sweep_csv,
@@ -190,15 +191,15 @@ def _run(args) -> None:
     snr = _parse_snr(args.snr)
     if len(snr) > 1:
         raise InvalidSnrGrid(f"snr {args.snr!r}: expected a single point, got {len(snr)}")
-    d_low, d_high = simulate_trial_matrices(
-        cfg, target, sigma_for_snr(snr[0], target.gain), (args.seed, 0, 0, 0)
-    )
     if args.command == "simulate":
+        d_low, d_high = simulate_trial_matrices(
+            cfg, target, sigma_for_snr(snr[0], target.gain), (args.seed, 0, 0, 0)
+        )
         for kind, d in (("low", d_low), ("high", d_high)):
             dump_grid_csv(d.values, pilot_mask(d.band), f"{args.out}_{kind}.csv")
         print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
         return
-    r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, _solver(args))
+    r_est, v_est = snapshot_spectra(cfg, target, snr[0], args.seed, _solver(args))
     if cfg.scheme is Scheme.CA1:  # only the fused scheme has one spectrum per quantity
         write_spectrum_csv(spectrum_rows(r_est), f"{args.out}_range.csv", "range_m")
         write_spectrum_csv(spectrum_rows(v_est), f"{args.out}_velocity.csv", "velocity_mps")

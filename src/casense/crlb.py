@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sigma_for_snr
-from .config import Block, CaConfig, Comb, BandConfig, Scheme, with_high_band_spacing
-from .errors import InvalidNoiseLevel, InvalidTarget, SingularFisher, UnsupportedScheme
+from .config import CaConfig, BandConfig, Scheme, with_high_band_spacing
+from .errors import InvalidConfig, InvalidNoiseLevel, InvalidTarget, SingularFisher, UnsupportedScheme
 from .grids import pilot_index_sets
 
 TWO_PI = 2.0 * np.pi
@@ -249,10 +249,10 @@ def crlb_sweep(
     """
     snr_db_grid = list(snr_db_grid)
     if not snr_db_grid:
-        raise ValueError("snr grid must be nonempty")
+        raise InvalidConfig("snr grid must be nonempty")
     spacings = [cfg.high.delta_f] if delta_f_high_grid is None else list(delta_f_high_grid)
     if not spacings:
-        raise ValueError("delta_f grid must be nonempty")
+        raise InvalidConfig("delta_f grid must be nonempty")
     rows = []
     for df2 in spacings:
         scaled = cfg if df2 == cfg.high.delta_f else with_high_band_spacing(cfg, df2)

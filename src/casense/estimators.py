@@ -28,8 +28,8 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, velocity_bin_width
-from .errors import NonFiniteSpectrum, SchemeMismatch
-from .fusion import build_range_selection
+from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
+from .fusion import build_range_selection, rearrange_low_band
 from .grids import pilot_slices
 from .recovery import (
     FORWARD, SensingOperator, check_solver_knobs, fista_iterations, lasso_lambda, soft_threshold
@@ -98,9 +98,9 @@ def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = 
 def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[int, float]]:
     """Greedy maxima with +-guard exclusion zones, descending by value."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidSolverOptions("k must be >= 1")
     if guard < 0:
-        raise ValueError("guard must be >= 0")
+        raise InvalidSolverOptions("guard must be >= 0")
     if not np.isfinite(spectrum.values).all():
         raise NonFiniteSpectrum("spectrum holds NaN or inf values")
     work = spectrum.values.astype(float).copy()
@@ -134,17 +134,17 @@ def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
 def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions) -> PowerSpectrum:
     """CS recovery of every column of the rearranged comb band.
 
-    After rearrangement the measurements occupy the leading N/K rows, so the
-    recovered bins live on the effective grid with spacing K*delta_f: bins
-    are c0 / (2 K delta_f N) meters wide and the unambiguous span is the
-    same c0 / (2 K delta_f) as the raw comb's.
+    ``rearrange_low_band``'s N/K rows measure the leading rows of an N-point
+    DFT, so the recovered bins live on the effective grid with spacing
+    K*delta_f: bins are c0 / (2 K delta_f N) meters wide and the unambiguous
+    span is the same c0 / (2 K delta_f) as the raw comb's.
     """
     if not isinstance(d.band.pilot, Comb):
         raise SchemeMismatch("range_spectrum_comb_cs needs a comb-pilot band")
     k = d.band.pilot.interval
     n = d.band.n_subcarriers
     op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(n // k, n))
-    columns = d.values[pilot_slices(d.band)]  # the rows rearrangement gathers into [0, N/K)
+    columns = rearrange_low_band(d, k)
     lam = lasso_lambda(op.adjoint(columns), opts.lambda_scale)
     x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol)
     return PowerSpectrum(np.abs(x).sum(axis=1), range_bin_width(c0, k * d.band.delta_f, n))

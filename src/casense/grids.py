@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BandConfig, Block, Comb
+from .config import BandConfig, Comb
 
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)  # unit-modulus corners
 

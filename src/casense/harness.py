@@ -17,9 +17,10 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simulate_channel_info
 from .config import CaConfig, Scheme, with_scheme
-from .crlb import crlb_oracle, CrlbInputs, sigma_from_snr
+from .crlb import crlb_report_for_snr
 from .errors import InvalidConfig
 from .estimators import (
+    AveragedEstimate,
     Estimate,
     SolverOptions,
     estimate_any_scheme,
@@ -50,6 +51,10 @@ class ExperimentSpec:
             raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:
             raise InvalidConfig("need at least one scheme")
+        if not all(isinstance(s, Scheme) for s in self.schemes):
+            raise InvalidConfig(f"schemes {self.schemes!r} must all be Scheme members")
+        for snr_db in self.snr_grid:
+            sigma_for_snr(snr_db, self.target.gain)  # NaN and -inf have no finite noise level
 
 
 def _check_trials(trials) -> None:
@@ -138,13 +143,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                 sq_r += (r_est.value - target.range_m) ** 2
                 sq_v += (v_est.value - target.velocity_mps) ** 2
             if noise_sigma > 0:
-                rep = crlb_oracle(
-                    CrlbInputs(
-                        cfg=cfg,
-                        h=abs(spec.target.gain),
-                        sigma=sigma_from_snr(snr_db, abs(spec.target.gain)),
-                    )
-                )
+                rep = crlb_report_for_snr(cfg, snr_db, abs(spec.target.gain), "oracle")
                 rcrlb_r, rcrlb_v = rep.rcrlb_range, rep.rcrlb_velocity
             else:
                 rcrlb_r = rcrlb_v = 0.0  # noiseless limit
@@ -212,18 +211,15 @@ def snapshot_spectra(
     snr_db: float,
     seed: int = 0,
     solver: SolverOptions = SolverOptions(),
-) -> tuple[list[tuple], list[tuple]]:
-    """Normalized range and velocity spectra rows: (bin, physical, power, is_peak).
+) -> tuple[Estimate, Estimate] | tuple[AveragedEstimate, AveragedEstimate]:
+    """``estimate_any_scheme``'s (range, velocity) of one trial, seeds (seed, 0, 0, 0).
 
-    Only the staggered scheme produces single fused spectra; other schemes
-    would need one snapshot per band.
+    Any scheme: CA1's estimates carry the fused normalized spectra (CSV rows
+    via ``spectrum_rows``), the other schemes' one spectrum per band.
     """
-    if cfg.scheme is not Scheme.CA1:
-        raise ValueError("snapshot_spectra expects the staggered scheme")
     noise_sigma = sigma_for_snr(snr_db, target.gain)
     d_low, d_high = simulate_trial_matrices(cfg, target, noise_sigma, (seed, 0, 0, 0))
-    r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, solver)
-    return spectrum_rows(r_est), spectrum_rows(v_est)
+    return estimate_any_scheme(d_low, d_high, cfg, solver)
 
 
 def spectrum_rows(est: Estimate) -> list[tuple]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSolverOptions
+from .errors import DimensionMismatch, InvalidConfig, InvalidSolverOptions
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -43,12 +43,12 @@ class SensingOperator:
 
     def __post_init__(self):
         if self.direction not in (FORWARD, INVERSE):
-            raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
+            raise InvalidConfig(f"direction must be {FORWARD!r} or {INVERSE!r}")
         mask = np.asarray(self.row_mask, dtype=bool)
         if mask.shape != (self.n,):
             raise DimensionMismatch(f"row_mask must have shape ({self.n},)")
         if not mask.any():
-            raise ValueError("row_mask must select at least one row")
+            raise InvalidConfig("row_mask must select at least one row")
         object.__setattr__(self, "row_mask", mask)
 
     @property
@@ -498,7 +498,7 @@ def solve_omp(p: LassoProblem, sparsity: int) -> RecoveryResult:
     """Orthogonal matching pursuit: greedy max-correlation atom selection
     with a least-squares refit on the selected support each iteration."""
     if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
+        raise InvalidSolverOptions("sparsity must be >= 1")
     d = p.observations
     residual = d.copy()
     support: list[int] = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import casense.estimators
+import casense.fusion
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
@@ -452,6 +453,15 @@ def test_ca1_estimate_simulates_and_solves_once(tmp_path, capsys, monkeypatch, s
     # velocity spectrum is closed form
     assert [args[0].direction for args in solves] == [FORWARD]
     assert capsys.readouterr().out == expected
+
+
+def test_ca1_estimate_runs_snapshot_spectra_and_rearranges_once(tmp_path, monkeypatch):
+    snapshots, gathers = [], []
+    patch_counter(monkeypatch, casense.harness, "snapshot_spectra", snapshots)
+    patch_counter(monkeypatch, casense.fusion, "rearrange_low_band", gathers)
+    assert main(["estimate", "--out", str(tmp_path / "shot"), "--max-iters", "5"]) == 0
+    assert len(snapshots) == 1
+    assert [args[1] for args in gathers] == [make_table3_config().k_ratio]
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ from casense.channel import (
     simulate_channel_info,
 )
 from casense.config import BandConfig, Block, Comb, Scheme, make_table3_config, with_scheme
-from casense.crlb import CrlbInputs
+from casense.crlb import CrlbInputs, crlb_sweep
 from casense.errors import (
     CasenseError,
+    InvalidConfig,
     InvalidSolverOptions,
     InvalidTarget,
     NonFiniteSpectrum,
@@ -33,6 +34,7 @@ from casense.estimators import (
     top_k_peaks,
     velocity_spectrum_block_cs,
 )
+from casense.fusion import build_range_selection
 from casense.grids import generate_tx_grid
 from casense.harness import simulate_trial_matrices
 from casense.recovery import (
@@ -42,6 +44,7 @@ from casense.recovery import (
     certify_kkt,
     fista_iterations,
     soft_threshold,
+    solve_omp,
 )
 from conftest import build_velocity_selection
 
@@ -357,6 +360,34 @@ NAN = float("nan")
          "top-k-peaks-nan"],
 )
 def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, error):
+    op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
+    with pytest.raises(error) as info:
+        build(op)
+    assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda op: crlb_sweep(make_table3_config(), []), InvalidConfig),
+        (lambda op: crlb_sweep(make_table3_config(), [0.0], []), InvalidConfig),
+        (lambda op: build_range_selection(0, 4), InvalidConfig),
+        (lambda op: SensingOperator(n=4, direction="sideways", row_mask=np.ones(4, bool)),
+         InvalidConfig),
+        (lambda op: SensingOperator(n=4, direction=INVERSE, row_mask=np.zeros(4, bool)),
+         InvalidConfig),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 0), InvalidSolverOptions),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 1, guard=-1),
+         InvalidSolverOptions),
+        (lambda op: solve_omp(LassoProblem(op, np.ones(4, complex), lam=0.1), 0),
+         InvalidSolverOptions),
+        (lambda op: sigma_for_snr(10.0, 0.0), InvalidTarget),
+    ],
+    ids=["crlb-sweep-empty-snr", "crlb-sweep-empty-spacings", "range-selection-empty",
+         "operator-direction", "operator-empty-mask", "top-k-peaks-k", "top-k-peaks-guard",
+         "omp-sparsity", "sigma-for-snr-zero-gain"],
+)
+def test_bad_arguments_raise_a_casense_error_that_is_a_value_error(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
     with pytest.raises(error) as info:
         build(op)

@@ -11,13 +11,14 @@ import casense.harness
 from casense import recovery
 from casense.channel import Target
 from casense.config import Scheme, make_table3_config, with_scheme
-from casense.errors import InvalidConfig
-from casense.estimators import SolverOptions
+from casense.errors import InvalidConfig, InvalidNoiseLevel
+from casense.estimators import AveragedEstimate, SolverOptions
 from casense.harness import (
     ExperimentSpec,
     run_high_band_baseline,
     run_sweep,
     snapshot_spectra,
+    spectrum_rows,
     write_spectrum_csv,
     write_sweep_csv,
 )
@@ -170,7 +171,8 @@ def test_failed_trial_aborts(table3):
 
 
 def test_snapshot_spectra_flags_reference_peaks(tmp_path, table3):
-    r_rows, v_rows = snapshot_spectra(table3, Target(117.0, 30.0), 10.0, seed=4, solver=FAST)
+    r_est, v_est = snapshot_spectra(table3, Target(117.0, 30.0), 10.0, seed=4, solver=FAST)
+    r_rows, v_rows = spectrum_rows(r_est), spectrum_rows(v_est)
     r_peak = [row for row in r_rows if row[3] == 1]
     v_peak = [row for row in v_rows if row[3] == 1]
     assert len(r_peak) == 1 and len(v_peak) == 1
@@ -184,15 +186,37 @@ def test_snapshot_spectra_flags_reference_peaks(tmp_path, table3):
 
 
 def test_snapshot_zero_target(table3):
-    r_rows, v_rows = snapshot_spectra(table3, Target(0.0, 0.0), math.inf, seed=0, solver=FAST)
-    assert r_rows[0][3] == 1  # peak at bin 0
-    assert v_rows[0][3] == 1
+    r_est, v_est = snapshot_spectra(table3, Target(0.0, 0.0), math.inf, seed=0, solver=FAST)
+    assert spectrum_rows(r_est)[0][3] == 1  # peak at bin 0
+    assert spectrum_rows(v_est)[0][3] == 1
 
 
-def test_snapshot_requires_staggered(table3):
-    cfg3 = with_scheme(table3, Scheme.CA3)
-    with pytest.raises(ValueError):
-        snapshot_spectra(cfg3, Target(10.0, 1.0), 10.0)
+def _band_estimates(est):
+    return est.per_band if isinstance(est, AveragedEstimate) else (est,)
+
+
+@settings(max_examples=20)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    gain=st.sampled_from([1.0, -0.75, 3.0]),
+    k=st.integers(-10, 10),
+    snr_db=st.sampled_from([-24.0, -14.0, 10.0]),
+    seed=st.integers(0, 3),
+)
+def test_power_of_two_gain_scaling_leaves_snapshot_spectra_bit_identical(
+    table3, scheme, gain, k, snr_db, seed
+):
+    # the noise level follows |gain| at a fixed SNR, and a power-of-two factor
+    # is carried exactly through simulation, lam, the solve and normalization
+    cfg = with_scheme(table3, scheme)
+    shots = [
+        snapshot_spectra(cfg, Target(117.0, 30.0, g), snr_db, seed=seed, solver=FAST)
+        for g in (gain, gain * 2.0**k)
+    ]
+    for base, scaled in zip(*shots):
+        for a, b in zip(_band_estimates(base), _band_estimates(scaled), strict=True):
+            assert a.peak_bin == b.peak_bin
+            assert a.spectrum.values.tobytes() == b.spectrum.values.tobytes()
 
 
 def test_compare_pilots_covers_all_schemes(table3):
@@ -255,7 +279,14 @@ def test_experiment_spec_validation(table3):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), trials=trials)
     with pytest.raises(InvalidConfig):
         ExperimentSpec(table3, (), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
-    assert issubclass(InvalidConfig, ValueError)
+    with pytest.raises(InvalidConfig, match="must all be Scheme members"):
+        ExperimentSpec(table3, ("CA1",), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(InvalidNoiseLevel):
+            ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0, snr_db), trials=1)
+    # +inf is the noiseless limit
+    ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(math.inf,), trials=1)
+    assert issubclass(InvalidConfig, ValueError) and issubclass(InvalidNoiseLevel, ValueError)
 
 
 def test_high_band_baseline_rejects_trials_below_one(table3):
