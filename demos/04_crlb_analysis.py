@@ -26,7 +26,7 @@ print("\nrange/velocity tradeoff over high-band subcarrier spacing (SNR 0 dB):")
 rows = crlb_sweep(cfg, [0.0], delta_f_high_grid=[30e3, 60e3, 120e3, 240e3, 480e3])
 print("  delta_f_2     RCRLB(range)     RCRLB(velocity)")
 for row in rows:
-    print(f"  {row.delta_f/1e3:6.0f} kHz   {row.rcrlb_range:.6e} m   {row.rcrlb_velocity:.6e} m/s")
+    print(f"  {row.delta_f/1e3:6.0f} kHz   {row.report.rcrlb_range:.6e} m   {row.report.rcrlb_velocity:.6e} m/s")
 
 print("\nscheme comparison at the reference parameters (h=1, sigma=1):")
 print("  scheme   CRLB(range) m^2    CRLB(velocity) (m/s)^2   note")

@@ -34,8 +34,8 @@ spec = ExperimentSpec(
     master_seed=1,
     solver=solver,
 )
-rows = run_sweep(spec).rows
-base = run_high_band_baseline(cfg, target, snrs, trials, master_seed=1, solver=solver)
+rows = run_sweep(spec)
+base = run_high_band_baseline(spec)
 
 print(f"{trials} trials per point, fixed target {target.range_m} m / {target.velocity_mps} m/s")
 print("SNR(dB)  RMSE_r(m)  base_r(m)  RCRLB_r(m)   RMSE_v(m/s)  base_v(m/s)  RCRLB_v(m/s)")

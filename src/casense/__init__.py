@@ -50,7 +50,6 @@ from .fusion import build_range_selection, rearrange_low_band
 from .grids import TxGrid, generate_tx_grid, pilot_index_sets, pilot_mask
 from .harness import (
     ExperimentSpec,
-    SweepResult,
     SweepRow,
     run_high_band_baseline,
     run_sweep,

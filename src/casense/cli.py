@@ -102,9 +102,9 @@ def _add_common(p: argparse.ArgumentParser, with_target=False, with_solver=False
         p.add_argument("--velocity", type=float, default=30.0, help="target velocity (m/s)")
         p.add_argument("--gain", type=float, default=1.0, help="target gain magnitude")
     if with_solver:
-        p.add_argument("--lambda-scale", dest="lambda_scale", type=float, default=0.1)
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--lambda-scale", type=float, default=SolverOptions.lambda_scale)
+        p.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
+        p.add_argument("--tol", type=float, default=SolverOptions.tol)
 
 
 def main(argv=None) -> int:
@@ -155,10 +155,10 @@ def _run(args) -> None:
                 cfg.scheme.value,
                 r.snr_db,
                 r.delta_f,
-                r.crlb_range,
-                r.crlb_velocity,
-                r.rcrlb_range,
-                r.rcrlb_velocity,
+                r.report.crlb_range,
+                r.report.crlb_velocity,
+                r.report.rcrlb_range,
+                r.report.rcrlb_velocity,
                 method,
             )
             for method in ("closed-form", "oracle")

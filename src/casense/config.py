@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import (
@@ -271,8 +271,8 @@ def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
 # config file round-trip (JSON, plain decimals, Hz and seconds)
 # ---------------------------------------------------------------------------
 
-def _pilot_to_dict(p: PilotPattern) -> dict:
-    return {"kind": "comb" if isinstance(p, Comb) else "block", "interval": p.interval}
+_BAND_KEYS = tuple(f.name for f in fields(BandConfig))  # the JSON key order
+_PILOT_KINDS = {cls.__name__.lower(): cls for cls in (Comb, Block)}
 
 
 def _section(d, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
@@ -298,38 +298,24 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _pilot_from_dict(d, where: str) -> PilotPattern:
-    d = _section(d, where, ("kind", "interval"))
-    kind = d["kind"].lower() if isinstance(d["kind"], str) else None
-    if kind == "comb":
-        return Comb(d["interval"])
-    if kind == "block":
-        return Block(d["interval"])
-    raise InvalidConfig(f"unknown pilot kind {d['kind']!r}")
-
-
 def _band_to_dict(b: BandConfig) -> dict:
-    return {
-        "fc": b.fc,
-        "delta_f": b.delta_f,
-        "n_subcarriers": b.n_subcarriers,
-        "n_symbols": b.n_symbols,
-        "t_cp": b.t_cp,
-        "pilot": _pilot_to_dict(b.pilot),
-    }
+    pilot = {"kind": type(b.pilot).__name__.lower(), "interval": b.pilot.interval}
+    return {key: getattr(b, key) for key in _BAND_KEYS} | {"pilot": pilot}
 
 
 def _band_from_dict(d, where: str) -> BandConfig:
     """Integers are taken as they are, so BandConfig rejects 4.7, 4.0 and true."""
-    d = _section(d, where, ("fc", "delta_f", "n_subcarriers", "n_symbols", "t_cp", "pilot"))
-    return BandConfig(
-        fc=_number(d["fc"], f"{where}.fc"),
-        delta_f=_number(d["delta_f"], f"{where}.delta_f"),
-        n_subcarriers=d["n_subcarriers"],
-        n_symbols=d["n_symbols"],
-        t_cp=_number(d["t_cp"], f"{where}.t_cp"),
-        pilot=_pilot_from_dict(d["pilot"], f"{where}.pilot"),
-    )
+    d = _section(d, where, _BAND_KEYS)
+    values = {
+        f.name: _number(d[f.name], f"{where}.{f.name}") if f.type == "float" else d[f.name]
+        for f in fields(BandConfig)
+        if f.name != "pilot"
+    }
+    pilot = _section(d["pilot"], f"{where}.pilot", ("kind", "interval"))
+    kind = _PILOT_KINDS.get(pilot["kind"].lower()) if isinstance(pilot["kind"], str) else None
+    if kind is None:
+        raise InvalidConfig(f"unknown pilot kind {pilot['kind']!r}")
+    return BandConfig(**values, pilot=kind(pilot["interval"]))
 
 
 def config_to_dict(cfg: CaConfig) -> dict:

@@ -53,9 +53,15 @@ class CrlbReport:
     crlb_theta: float
     crlb_range: float  # m^2
     crlb_velocity: float  # (m/s)^2
-    rcrlb_range: float  # m
-    rcrlb_velocity: float  # m/s
     method: str  # "closed-form" | "oracle"
+
+    @property
+    def rcrlb_range(self) -> float:  # m
+        return float(np.sqrt(self.crlb_range))
+
+    @property
+    def rcrlb_velocity(self) -> float:  # m/s
+        return float(np.sqrt(self.crlb_velocity))
 
 
 def band_pilot_axes(band: BandConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -93,15 +99,11 @@ def report_from_fisher(f11: float, f12: float, f22: float, c0: float, method: st
         raise SingularFisher(f"F11*F22 - F12^2 = {det!r} is not positive")
     crlb_tau = f22 / det
     crlb_theta = f11 / det
-    crlb_r = 0.25 * c0 * c0 * crlb_tau
-    crlb_v = 0.25 * c0 * c0 * crlb_theta
     return CrlbReport(
         crlb_tau=crlb_tau,
         crlb_theta=crlb_theta,
-        crlb_range=crlb_r,
-        crlb_velocity=crlb_v,
-        rcrlb_range=float(np.sqrt(crlb_r)),
-        rcrlb_velocity=float(np.sqrt(crlb_v)),
+        crlb_range=0.25 * c0 * c0 * crlb_tau,
+        crlb_velocity=0.25 * c0 * c0 * crlb_theta,
         method=method,
     )
 
@@ -206,8 +208,6 @@ def crlb_closed_form(inputs: CrlbInputs) -> CrlbReport:
         crlb_theta=4.0 * crlb_v / (c0 * c0),
         crlb_range=crlb_r,
         crlb_velocity=crlb_v,
-        rcrlb_range=float(np.sqrt(crlb_r)),
-        rcrlb_velocity=float(np.sqrt(crlb_v)),
         method="closed-form",
     )
 
@@ -228,20 +228,16 @@ def crlb_report_for_snr(
 class CrlbSweepRow:
     snr_db: float
     delta_f: float  # high-band subcarrier spacing (Hz)
-    crlb_range: float
-    crlb_velocity: float
-    rcrlb_range: float
-    rcrlb_velocity: float
+    report: CrlbReport
 
 
 def crlb_sweep(
     cfg: CaConfig,
     snr_db_grid,
     delta_f_high_grid=None,
-    h: float = 1.0,
     method: str = "closed-form",
 ) -> list[CrlbSweepRow]:
-    """Closed-form bounds over an SNR grid and optionally a spacing grid.
+    """Unit-gain bounds over an SNR grid and optionally a spacing grid.
 
     Rescaling the spacings shortens or lengthens the symbols, so the range
     bound falls and the velocity bound rises with delta_f at fixed SNR; both
@@ -257,15 +253,6 @@ def crlb_sweep(
     for df2 in spacings:
         scaled = cfg if df2 == cfg.high.delta_f else with_high_band_spacing(cfg, df2)
         for snr_db in snr_db_grid:
-            rep = crlb_report_for_snr(scaled, snr_db, h, method)
-            rows.append(
-                CrlbSweepRow(
-                    snr_db=float(snr_db),
-                    delta_f=float(df2),
-                    crlb_range=rep.crlb_range,
-                    crlb_velocity=rep.crlb_velocity,
-                    rcrlb_range=rep.rcrlb_range,
-                    rcrlb_velocity=rep.rcrlb_velocity,
-                )
-            )
+            report = crlb_report_for_snr(scaled, snr_db, method=method)
+            rows.append(CrlbSweepRow(float(snr_db), float(df2), report))
     return rows

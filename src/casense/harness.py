@@ -11,7 +11,7 @@ trials would bias the RMSE.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,8 +45,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "snr_grid", tuple(float(s) for s in self.snr_grid))
-        _check_trials(self.trials)
+        snr_grid = tuple(self.snr_grid)
+        if not all(isinstance(s, numbers.Real) for s in snr_grid):
+            raise InvalidConfig(f"snr grid {snr_grid!r} must hold only real numbers")
+        object.__setattr__(self, "snr_grid", tuple(float(s) for s in snr_grid))
+        trials = self.trials
+        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
+            raise InvalidConfig(f"trials {trials!r} must be an integer >= 1")
         if not self.snr_grid:
             raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:
@@ -55,12 +60,6 @@ class ExperimentSpec:
             raise InvalidConfig(f"schemes {self.schemes!r} must all be Scheme members")
         for snr_db in self.snr_grid:
             sigma_for_snr(snr_db, self.target.gain)  # NaN and -inf have no finite noise level
-
-
-def _check_trials(trials) -> None:
-    """Raise InvalidConfig unless trials is an integer >= 1 (a bool is not)."""
-    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise InvalidConfig(f"trials {trials!r} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,6 @@ class SweepRow:
     rcrlb_range: float
     rcrlb_velocity: float
     trials: int
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
 
 
 # scheme-index slots of run_high_band_baseline's streams, clear of a sweep's 0, 1, ...
@@ -122,8 +116,8 @@ def simulate_trial_matrices(
     return tuple(_simulate_band(cfg, i, target, noise_sigma, seed_parts) for i in (0, 1))
 
 
-def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """RMSE over (scheme, SNR) with oracle RCRLBs alongside."""
+def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
+    """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside."""
     rows = []
     for scheme_idx, scheme in enumerate(spec.schemes):
         cfg = spec.cfg if spec.cfg.scheme is scheme else with_scheme(spec.cfg, scheme)
@@ -158,24 +152,20 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                     trials=spec.trials,
                 )
             )
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
-def run_high_band_baseline(
-    cfg: CaConfig,
-    target: Target,
-    snr_grid,
-    trials: int,
-    master_seed: int = 0,
-    solver: SolverOptions = SolverOptions(),
-) -> list[dict]:
-    """Single-band references: block high band for range, comb high band
-    for velocity (each is the high-band half of the matching pipeline)."""
-    _check_trials(trials)
+def run_high_band_baseline(spec: ExperimentSpec) -> list[dict]:
+    """Single-band references on spec's fixed target, spec.schemes unused: block
+    high band for range, comb high band for velocity (each is the high-band
+    half of the matching pipeline)."""
+    if spec.random_targets:
+        raise InvalidConfig("the high-band baseline needs a fixed target, not random_targets")
+    cfg, target, trials, master_seed = spec.cfg, spec.target, spec.trials, spec.master_seed
     cfg_block = cfg if cfg.scheme is Scheme.CA1 else with_scheme(cfg, Scheme.CA1)
     cfg_comb = with_scheme(cfg, Scheme.CA4)
     rows = []
-    for snr_idx, snr_db in enumerate(snr_grid):
+    for snr_idx, snr_db in enumerate(spec.snr_grid):
         noise_sigma = sigma_for_snr(snr_db, target.gain)
         sq_r = 0.0
         sq_v = 0.0
@@ -186,13 +176,13 @@ def run_high_band_baseline(
             d_comb = _simulate_band(
                 cfg_comb, 1, target, noise_sigma, (master_seed, _HIGH_COMB_SLOT, snr_idx, trial)
             )
-            r_hat = estimate_band_range(d_block, cfg.c0, solver).value
-            v_hat = estimate_band_velocity(d_comb, cfg.c0, solver).value
+            r_hat = estimate_band_range(d_block, cfg.c0, spec.solver).value
+            v_hat = estimate_band_velocity(d_comb, cfg.c0, spec.solver).value
             sq_r += (r_hat - target.range_m) ** 2
             sq_v += (v_hat - target.velocity_mps) ** 2
         rows.append(
             {
-                "snr_db": float(snr_db),
+                "snr_db": snr_db,
                 "rmse_range_high_block": float(np.sqrt(sq_r / trials)),
                 "rmse_velocity_high_comb": float(np.sqrt(sq_v / trials)),
                 "trials": trials,
@@ -231,7 +221,8 @@ def spectrum_rows(est: Estimate) -> list[tuple]:
     ]
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(rows, path) -> None:
+    """One line per SweepRow, its fields in order; the header names carry the units."""
     write_csv(
         path,
         [
@@ -243,18 +234,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             "rcrlb_velocity_mps",
             "trials",
         ],
-        [
-            (
-                r.scheme,
-                r.snr_db,
-                r.rmse_range,
-                r.rmse_velocity,
-                r.rcrlb_range,
-                r.rcrlb_velocity,
-                r.trials,
-            )
-            for r in result.rows
-        ],
+        map(astuple, rows),
     )
 
 

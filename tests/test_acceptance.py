@@ -127,7 +127,7 @@ def test_criterion_03_crlb_trends():
     snrs = [-30.0, -20.0, -10.0, 0.0, 10.0]
     spacings = [30e3, 60e3, 120e3, 240e3, 480e3]
     rows = crlb_sweep(cfg, snrs, delta_f_high_grid=spacings)
-    table = {(r.delta_f, r.snr_db): r for r in rows}
+    table = {(r.delta_f, r.snr_db): r.report for r in rows}
     ok = True
     for snr in snrs:
         for a, b in zip(spacings, spacings[1:]):
@@ -179,7 +179,7 @@ def test_criterion_05_rmse_dominates_rcrlb():
         solver=FAST,
         random_targets=True,
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     floor_r = cfg.range_bin_width / np.sqrt(12.0)
     floor_v = cfg.velocity_bin_width / np.sqrt(12.0)
     violations = []
@@ -215,7 +215,7 @@ def test_criterion_06_high_snr_quantization_floor():
         master_seed=106,
         solver=FAST,
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     ok = True
     for row in rows:
         ok &= abs(row.rmse_range - 0.1875) <= 1e-9
@@ -248,10 +248,10 @@ def test_criterion_07_aggregation_benefit():
         master_seed=107,
         solver=FAST,
     )
-    ca1 = {row.snr_db: row for row in run_sweep(spec).rows}
+    ca1 = {row.snr_db: row for row in run_sweep(spec)}
     base = {
         row["snr_db"]: row
-        for row in run_high_band_baseline(cfg, target, snrs, trials, 107, FAST)
+        for row in run_high_band_baseline(spec)
     }
     ok = True
     details = []
@@ -287,7 +287,7 @@ def test_criterion_08_convergence_threshold_ordering():
         master_seed=108,
         solver=FAST,
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     thresholds = {}
     for scheme in Scheme:
         by_snr = {r.snr_db: r for r in rows if r.scheme == scheme.value}

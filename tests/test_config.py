@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -209,6 +210,23 @@ def test_config_file_round_trip(tmp_path, scheme, n, m, k, q):
     doc = json.loads(path.read_text())
     assert doc["low"]["fc"] == 5.9e9
     assert doc["high"]["pilot"]["kind"] == ("comb" if scheme in (Scheme.CA2, Scheme.CA4) else "block")
+
+
+# sha256 of save_config's file for each Table-3 scheme, recorded before the
+# codec read a band's keys from BandConfig's fields
+SAVED_TABLE3_SHA256 = {
+    Scheme.CA1: "fa7d45f6b77e45dd0e834ff8f93dd3fa31d7c40d6562114aba1d8335981276a6",
+    Scheme.CA2: "e01f75157996162178209f3ce6984e436b2a9390e97364dae11854c8c5ec2fcd",
+    Scheme.CA3: "5b982d409114a8df9254906a11054c8718e4b5346cc522ff0a75617345ded223",
+    Scheme.CA4: "926af0d74c385c91e3fffd157d56375e4d614733930b088c9f9120cc7dace691",
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_save_config_bytes_pinned(tmp_path, scheme):
+    path = tmp_path / "cfg.json"
+    save_config(make_table3_config(scheme), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_TABLE3_SHA256[scheme]
 
 
 # lattice_config is valid for a spacing ratio k <= 4: above it the low-band CP is negative

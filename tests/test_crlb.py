@@ -122,7 +122,7 @@ def test_unsupported_scheme_parameters():
 def test_sweep_snr_scaling():
     cfg = make_table3_config()
     rows = crlb_sweep(cfg, [-10.0, 0.0])
-    by_snr = {r.snr_db: r for r in rows}
+    by_snr = {r.snr_db: r.report for r in rows}
     assert by_snr[0.0].crlb_range == pytest.approx(by_snr[-10.0].crlb_range / 10.0, rel=1e-9)
     assert by_snr[0.0].crlb_velocity == pytest.approx(
         by_snr[-10.0].crlb_velocity / 10.0, rel=1e-9
@@ -143,7 +143,7 @@ def test_single_band_range_crlb_scales_with_spacing():
 def test_sweep_spacing_tradeoff():
     cfg = make_table3_config()
     rows = crlb_sweep(cfg, [0.0], delta_f_high_grid=[60e3, 120e3, 240e3])
-    by_df = {r.delta_f: r for r in rows}
+    by_df = {r.delta_f: r.report for r in rows}
     spacings = sorted(by_df)
     for a, b in zip(spacings, spacings[1:]):
         assert by_df[b].crlb_range < by_df[a].crlb_range

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from casense.errors import InvalidConfig, InvalidNoiseLevel
 from casense.estimators import AveragedEstimate, SolverOptions
 from casense.harness import (
     ExperimentSpec,
+    SweepRow,
     run_high_band_baseline,
     run_sweep,
     snapshot_spectra,
@@ -42,7 +44,7 @@ def test_noiseless_on_grid_rmse_is_zero(table3):
         master_seed=5,
         solver=FAST,
     )
-    row = run_sweep(spec).rows[0]
+    row = run_sweep(spec)[0]
     assert row.rmse_range == 0.0
     assert row.rmse_velocity == pytest.approx(0.0, abs=1e-9)
 
@@ -57,7 +59,7 @@ def test_quantization_residual_at_high_snr(table3):
         master_seed=1,
         solver=FAST,
     )
-    row = run_sweep(spec).rows[0]
+    row = run_sweep(spec)[0]
     assert row.rmse_range == pytest.approx(0.1875, abs=1e-12)
     assert row.rmse_range <= 0.25
     assert row.rmse_velocity == pytest.approx(0.3176, abs=1e-3)
@@ -73,13 +75,19 @@ def test_sweep_rows_shape_and_determinism(tmp_path, table3):
         master_seed=9,
         solver=FAST,
     )
-    res1 = run_sweep(spec)
-    res2 = run_sweep(spec)
-    assert len(res1.rows) == 2 * 2
+    rows1 = run_sweep(spec)
+    rows2 = run_sweep(spec)
+    assert len(rows1) == 2 * 2
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(res1, p1)
-    write_sweep_csv(res2, p2)
+    write_sweep_csv(rows1, p1)
+    write_sweep_csv(rows2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # one column per SweepRow field, in field order
+    header, *lines = p1.read_text().splitlines()
+    assert len(header.split(",")) == len(fields(SweepRow))
+    assert header == "scheme,snr_db,rmse_range_m,rmse_velocity_mps,rcrlb_range_m,rcrlb_velocity_mps,trials"
+    assert [line.split(",")[0] for line in lines] == [row.scheme for row in rows1]
+    assert all(len(line.split(",")) == len(fields(SweepRow)) for line in lines)
 
 
 
@@ -99,11 +107,11 @@ def test_equal_seeds_give_equal_rows_across_calls(seed, snr_db):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_worker_count", lambda batch: 3)
         recovery._stop_helpers()
-        rows = [run_sweep(spec).rows]
+        rows = [run_sweep(spec)]
         assert len(recovery._helpers) == 2
-        rows.append(run_sweep(spec).rows)
+        rows.append(run_sweep(spec))
         os.kill(recovery._helpers[1].pid, signal.SIGKILL)
-        rows.append(run_sweep(spec).rows)
+        rows.append(run_sweep(spec))
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
 def test_sweep_seed_changes_noise(table3):
@@ -116,8 +124,8 @@ def test_sweep_seed_changes_noise(table3):
         trials=4,
         solver=FAST,
     )
-    r1 = run_sweep(ExperimentSpec(master_seed=1, **base)).rows[0]
-    r2 = run_sweep(ExperimentSpec(master_seed=2, **base)).rows[0]
+    r1 = run_sweep(ExperimentSpec(master_seed=1, **base))[0]
+    r2 = run_sweep(ExperimentSpec(master_seed=2, **base))[0]
     assert (r1.rmse_range, r1.rmse_velocity) != (r2.rmse_range, r2.rmse_velocity)
 
 
@@ -132,7 +140,7 @@ def test_random_targets_stay_in_scope(table3):
         solver=FAST,
         random_targets=True,
     )
-    row = run_sweep(spec).rows[0]
+    row = run_sweep(spec)[0]
     # off-grid placement: residuals bounded by half a bin each
     assert 0 < row.rmse_range <= table3.range_bin_width
     assert 0 < row.rmse_velocity <= table3.velocity_bin_width
@@ -148,7 +156,7 @@ def test_rcrlb_columns_positive_and_scale(table3):
         master_seed=0,
         solver=FAST,
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     by_snr = {r.snr_db: r for r in rows}
     assert by_snr[10.0].rcrlb_range == pytest.approx(
         by_snr[0.0].rcrlb_range / np.sqrt(10), rel=1e-9
@@ -224,16 +232,19 @@ def test_compare_pilots_covers_all_schemes(table3):
         cfg=table3, schemes=tuple(Scheme), target=Target(117.0, 30.0), snr_grid=(10.0,),
         trials=1, master_seed=0, solver=FAST,
     )
-    res = run_sweep(spec)
-    assert sorted({r.scheme for r in res.rows}) == ["CA1", "CA2", "CA3", "CA4"]
-    for row in res.rows:
+    rows = run_sweep(spec)
+    assert sorted({r.scheme for r in rows}) == ["CA1", "CA2", "CA3", "CA4"]
+    for row in rows:
         assert abs(row.rmse_range - 0.1875) < 1e-6
 
 
+def _baseline_spec(cfg, **overrides) -> ExperimentSpec:
+    base = dict(cfg=cfg, schemes=(Scheme.CA1,), target=Target(117.0, 30.0), solver=FAST)
+    return ExperimentSpec(**{**base, **overrides})
+
+
 def test_high_band_baseline_rows(table3):
-    rows = run_high_band_baseline(
-        table3, Target(117.0, 30.0), snr_grid=(10.0,), trials=2, master_seed=0, solver=FAST
-    )
+    rows = run_high_band_baseline(_baseline_spec(table3, snr_grid=(10.0,), trials=2))
     assert len(rows) == 1
     assert rows[0]["rmse_range_high_block"] == pytest.approx(0.1875, abs=1e-9)
     assert rows[0]["rmse_velocity_high_comb"] == pytest.approx(0.3176, abs=1e-3)
@@ -249,7 +260,7 @@ def test_high_band_baseline_rows_pinned_and_simulates_only_the_high_bands(table3
 
     monkeypatch.setattr(casense.harness, "simulate_channel_info", counted)
     rows = run_high_band_baseline(
-        table3, Target(117.0, 30.0), snr_grid=(-32.0, -28.0), trials=3, master_seed=5, solver=FAST
+        _baseline_spec(table3, snr_grid=(-32.0, -28.0), trials=3, master_seed=5)
     )
     # recorded when each trial still simulated both bands of two full trials
     assert rows == [
@@ -284,6 +295,9 @@ def test_experiment_spec_validation(table3):
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(InvalidNoiseLevel):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0, snr_db), trials=1)
+    for snr_db in ("x", None, 1j):
+        with pytest.raises(InvalidConfig, match="must hold only real numbers"):
+            ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0, snr_db), trials=1)
     # +inf is the noiseless limit
     ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(math.inf,), trials=1)
     assert issubclass(InvalidConfig, ValueError) and issubclass(InvalidNoiseLevel, ValueError)
@@ -291,4 +305,21 @@ def test_experiment_spec_validation(table3):
 
 def test_high_band_baseline_rejects_trials_below_one(table3):
     with pytest.raises(InvalidConfig, match="trials 0 must be an integer >= 1"):
-        run_high_band_baseline(table3, Target(117.0, 30.0), snr_grid=(10.0,), trials=0)
+        run_high_band_baseline(_baseline_spec(table3, snr_grid=(10.0,), trials=0))
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(snr_grid=()), "snr grid must be nonempty"),
+        (dict(snr_grid=(10.0, "x")), "must hold only real numbers"),
+        (dict(snr_grid=(10.0,), random_targets=True), "needs a fixed target"),
+    ],
+    ids=["empty-grid", "snr-x", "random-targets"],
+)
+def test_high_band_baseline_rejects_a_bad_spec_before_simulating(table3, monkeypatch, overrides, match):
+    calls = []
+    monkeypatch.setattr(casense.harness, "simulate_channel_info", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidConfig, match=match):
+        run_high_band_baseline(_baseline_spec(table3, trials=1, **overrides))
+    assert calls == []
