@@ -46,7 +46,7 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
         snr_grid = tuple(self.snr_grid)
-        if not all(isinstance(s, numbers.Real) for s in snr_grid):
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in snr_grid):
             raise InvalidConfig(f"snr grid {snr_grid!r} must hold only real numbers")
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in snr_grid))
         trials = self.trials

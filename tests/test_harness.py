@@ -295,7 +295,7 @@ def test_experiment_spec_validation(table3):
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(InvalidNoiseLevel):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0, snr_db), trials=1)
-    for snr_db in ("x", None, 1j):
+    for snr_db in ("x", None, 1j, True):
         with pytest.raises(InvalidConfig, match="must hold only real numbers"):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0, snr_db), trials=1)
     # +inf is the noiseless limit
