@@ -28,6 +28,7 @@ C0_EXACT = 299_792_458.0  # speed of light, m/s
 C0_ROUND = 3e8  # round value used for reproduction runs
 
 _REL_TOL = 1e-12
+MAX_BAND_CELLS = 2**22  # N * M per band: 128 times Table 3's 512 x 64, 64 MiB as complex128
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,8 @@ class BandConfig:
                 raise InvalidConfig(f"{name} {value!r} must be an integer")
         if self.n_subcarriers < 2 or self.n_symbols < 2:
             raise InvalidConfig("need at least 2 subcarriers and 2 symbols")
+        if self.n_subcarriers * self.n_symbols > MAX_BAND_CELLS:
+            raise InvalidConfig(f"n_subcarriers * n_symbols is over {MAX_BAND_CELLS} per band")
         for name in ("fc", "delta_f"):
             _require_finite(name, getattr(self, name))
         _require_finite("t_cp", self.t_cp, positive=False)

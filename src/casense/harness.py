@@ -3,9 +3,9 @@
 A sweep over several schemes, such as all four pilot structures on one SNR
 grid, is one ``run_sweep`` of an ``ExperimentSpec`` listing them. Trial
 seeds are derived from the master seed by counters (scheme, SNR point,
-trial, stream), so runs are deterministic regardless of how trials would be
-distributed. A failed trial aborts the run; silently skipping
-trials would bias the RMSE.
+trial, stream) and a point's squared errors are added in trial order, so the
+rows are the same on whichever CPUs ``run_sweep`` ran the trials. A failed
+trial aborts the run; silently skipping trials would bias the RMSE.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import recovery
 from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simulate_channel_info
 from .config import CaConfig, Scheme, with_scheme
 from .crlb import crlb_report_for_snr
@@ -116,26 +117,41 @@ def simulate_trial_matrices(
     return tuple(_simulate_band(cfg, i, target, noise_sigma, seed_parts) for i in (0, 1))
 
 
+def _trial_errors(spec: ExperimentSpec, cfg: CaConfig, scheme_idx, snr_idx, noise_sigma, lo, hi):
+    """Squared (range, velocity) errors of trials lo..hi-1 of one (scheme, SNR) point, in order."""
+    errors = []
+    for trial in range(lo, hi):
+        rng = np.random.default_rng(_trial_seed(spec.master_seed, scheme_idx, snr_idx, trial, 0))
+        target = _draw_target(spec, rng)
+        d_low, d_high = simulate_trial_matrices(
+            cfg, target, noise_sigma, (spec.master_seed, scheme_idx, snr_idx, trial)
+        )
+        r, v = estimate_any_scheme(d_low, d_high, cfg, spec.solver)
+        errors.append(((r.value - target.range_m) ** 2, (v.value - target.velocity_mps) ** 2))
+    return errors
+
+
 def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
-    """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside."""
+    """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside.
+
+    With W CPUs and T >= W trials, a point's first W * (T // W) trials run as
+    W contiguous chunks on the helper pool, chunk 0 in this thread, then the
+    T mod W left run here. With T < W all trials run here.
+    """
     rows = []
+    cpus = recovery._cpu_count()
+    chunks = cpus if spec.trials >= cpus else 1
+    size = spec.trials // chunks
     for scheme_idx, scheme in enumerate(spec.schemes):
         cfg = spec.cfg if spec.cfg.scheme is scheme else with_scheme(spec.cfg, scheme)
         for snr_idx, snr_db in enumerate(spec.snr_grid):
             noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
-            sq_r = 0.0
-            sq_v = 0.0
-            for trial in range(spec.trials):
-                rng = np.random.default_rng(
-                    _trial_seed(spec.master_seed, scheme_idx, snr_idx, trial, 0)
-                )
-                target = _draw_target(spec, rng)
-                d_low, d_high = simulate_trial_matrices(
-                    cfg, target, noise_sigma, (spec.master_seed, scheme_idx, snr_idx, trial)
-                )
-                r_est, v_est = estimate_any_scheme(d_low, d_high, cfg, spec.solver)
-                sq_r += (r_est.value - target.range_m) ** 2
-                sq_v += (v_est.value - target.velocity_mps) ** 2
+            point = (spec, cfg, scheme_idx, snr_idx, noise_sigma)
+            calls = [(_trial_errors, (*point, k * size, (k + 1) * size)) for k in range(chunks)]
+            errors = [e for chunk in recovery._map(calls) for e in chunk]
+            errors += _trial_errors(*point, chunks * size, spec.trials)
+            # accumulate adds in trial order, one by one, as a serial loop would
+            sq_r, sq_v = np.add.accumulate(errors, axis=0)[-1]
             if noise_sigma > 0:
                 rep = crlb_report_for_snr(cfg, snr_db, abs(spec.target.gain), "oracle")
                 rcrlb_r, rcrlb_v = rep.rcrlb_range, rep.rcrlb_velocity

@@ -18,6 +18,7 @@ import os
 import pickle
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,15 +189,11 @@ def fista_iterations(
 
     The columns are split into contiguous blocks: one per CPU this process
     may run on, each of at least 16 columns (so a batch under 32 columns is
-    one block). Each block is solved by one call of _solve_block, which
-    allocates buffers for that block only. The calling thread makes it for
-    block 0. Each other block goes over a pipe to a helper process, forked
-    by the first solve that needs it and kept for later solves, which makes
-    the same call and sends back the block's columns of x and its count. A
-    block whose helper is serving another caller, has died or cannot be
-    started (no fork, or a daemonic process) is solved in the calling
-    thread. So the caller allocates buffers only for the blocks it solves.
-    The result does not depend on the number of blocks or where they ran.
+    one block). Each block is one _solve_block call, which allocates buffers
+    for that block only, made through _map: one helper pool, whose helpers
+    also run run_sweep's trials when a point has T >= W trials for W CPUs.
+    The caller makes call 0 and allocates only for the blocks it solves; x
+    does not depend on the number of blocks or on where they ran.
     """
     check_solver_knobs(max_iters, lam=lam, tol=tol)
     d = np.asarray(d, dtype=complex)
@@ -208,23 +205,28 @@ def fista_iterations(
     workers = _worker_count(batch)
     blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]
     args = (max_iters, tol, momentum)
-    sent = {}
-    for (lo, hi), helper in zip(blocks[1:], _helpers_for(workers - 1)):
-        if helper.send(op, rows[lo:hi], lam[lo:hi], *args):
-            sent[lo, hi] = helper
+    replies = _map([(_solve_block, (op, rows[lo:hi], lam[lo:hi], *args)) for lo, hi in blocks])
+    x = np.concatenate([block for block, _ in replies], axis=1)
+    return (x if d.ndim > 1 else x[:, 0]), max(count for _, count in replies)
+
+
+def _map(calls):
+    """[fn(*args) for fn, args in calls], in call order; fn is pickled by module and name.
+
+    Call 0 runs here, each other call in a helper process, forked by the first
+    map that needs it and kept. A call runs here instead if its helper is busy
+    (another caller's or an outer map's), cannot start (no fork, a daemonic
+    process, or inside a helper), died, or raised (a helper exits on errors).
+    """
+    sent = {k: h for k, h in enumerate(_helpers_for(len(calls) - 1), 1) if h.send(*calls[k])}
     replies = {}
     try:
-        for lo, hi in blocks:
-            if (lo, hi) not in sent:  # block 0, and the blocks no helper took
-                replies[lo, hi] = _solve_block(op, rows[lo:hi], lam[lo:hi], *args)
+        for k, (fn, args) in enumerate(calls):
+            if k not in sent:
+                replies[k] = (fn(*args),)
     finally:
-        replies.update((block, helper.receive()) for block, helper in sent.items())
-    x = np.empty((op.n, batch), dtype=complex)
-    counts = []
-    for (lo, hi), reply in replies.items():  # a helper that died replied None: solve here
-        x[:, lo:hi], count = reply or _solve_block(op, rows[lo:hi], lam[lo:hi], *args)
-        counts.append(count)
-    return (x if d.ndim > 1 else x[:, 0]), max(counts)
+        replies.update((k, helper.receive()) for k, helper in sent.items())
+    return [(replies[k] or (fn(*args),))[0] for k, (fn, args) in enumerate(calls)]
 
 
 def _as_slice(rows: np.ndarray):
@@ -313,14 +315,18 @@ def _solve_block(op: SensingOperator, rows, lam, max_iters: int, tol: float, mom
     return out, iterations
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _worker_count(batch: int) -> int:
     """Column blocks for a batch: one per CPU this process may run on, each of >= 16 columns."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, batch // 16))
+    return max(1, min(_cpu_count(), batch // 16))
 
 
 class _Helper:
-    """A forked process that runs column blocks sent to it over a pipe.
+    """A forked process that runs the calls sent to it over a pipe.
 
     It serves one caller at a time, the one holding `busy`, and exits when
     its request pipe reaches end of file: when the parent closes it or dies.
@@ -348,7 +354,7 @@ class _Helper:
         os.close(replies)
 
     def send(self, *request) -> bool:
-        """Hands the helper a block if it is free; False if it is busy or has died."""
+        """Hands the helper a call if it is free; False if it is busy or has died."""
         if not self.busy.acquire(blocking=False):
             return False
         try:
@@ -362,7 +368,7 @@ class _Helper:
         return True
 
     def receive(self):
-        """The reply to the block sent, or None if the helper died; frees the helper."""
+        """(result,) of the call sent, or None if the helper died; frees the helper."""
         try:
             reply = _read_message(self.replies)
         except (EOFError, OSError):
@@ -390,13 +396,16 @@ class _Helper:
 
 
 def _serve(requests: int, replies: int) -> int:
-    """A helper's loop: solves each block read from `requests` and replies on `replies`."""
+    """A helper's loop: makes each call (fn, args) read from `requests`, replies (result,)."""
+    global _in_helper
+    _in_helper = True
+    warnings.simplefilter("ignore")  # call 0 runs in the caller, which sees its warnings
     while True:
         try:
-            request = _read_message(requests)
+            fn, args = _read_message(requests)
         except EOFError:
             return 0
-        _write_message(replies, _solve_block(*request))
+        _write_message(replies, (fn(*args),))
 
 
 def _write_message(fd: int, message) -> None:
@@ -423,16 +432,18 @@ def _read_exactly(fd: int, size: int) -> bytearray:
     return buf
 
 
-_helpers: list[_Helper] = []  # started by the first solve that needs them
+_helpers: list[_Helper] = []  # started by the first map that needs them
 _helpers_lock = threading.Lock()
 _reaper = None  # in a process that multiprocessing started: the finalizer that joins its helpers
+_in_helper = False  # set in a helper, which starts no helpers
 
 
 def _helpers_for(count: int) -> list[_Helper]:
     """The first `count` helpers, started as needed; fewer where no more can start."""
     global _reaper
     process = sys.modules.get("multiprocessing.process")
-    if count < 1 or not hasattr(os, "fork") or (process and process.current_process().daemon):
+    daemonic = process and process.current_process().daemon
+    if count < 1 or _in_helper or daemonic or not hasattr(os, "fork"):
         return []
     with _helpers_lock:
         if _reaper is None and process and process.parent_process():
@@ -442,13 +453,13 @@ def _helpers_for(count: int) -> list[_Helper]:
         try:
             while len(_helpers) < count:
                 _helpers.append(_Helper())
-        except OSError:  # out of processes or file descriptors: those blocks run here
+        except OSError:  # out of processes or file descriptors: those calls run here
             pass
         return _helpers[:count]
 
 
 def _discard(helper: _Helper) -> None:
-    """Drops a helper that died or lost its place in the protocol; the next solve starts another."""
+    """Drops a helper that died or lost its place in the protocol; the next map starts another."""
     with _helpers_lock:
         if helper in _helpers:
             _helpers.remove(helper)

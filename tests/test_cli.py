@@ -1,14 +1,18 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import casense.estimators
 import casense.fusion
+import casense
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
@@ -182,6 +186,35 @@ def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, command):
     assert err.splitlines()[-1].startswith("casense: error: delta_f ratio 3.33")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+
+
+def test_sweep_prints_each_warning_once(tmp_path):
+    # trials run in helper processes too, which drop warnings: stderr holds what one
+    # process prints for a fixed ambiguous target, one warning per band
+    src = str(Path(casense.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["sweep", "--out", str(tmp_path / "s.csv"), "--snr", "10", "--trials", "8",
+            "--scheme", "CA3", "--velocity", "400"]
+    proc = subprocess.run([sys.executable, "-m", "casense.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "VelocityAmbiguityWarning" in line]
+    assert [line.rsplit(" at ", 1)[1] for line in warned] == ["fc=5.9e+09 Hz", "fc=2.4e+10 Hz"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_config_file_over_the_cell_ceiling_is_a_usage_error(tmp_path, capsys, command):
+    doc = config_to_dict(make_table3_config())
+    doc["low"]["n_subcarriers"] = 2**40  # about 1 PiB per band as complex128
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(tmp_path / "big.json"), "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert err.splitlines()[-1] == "casense: error: n_subcarriers * n_symbols is over 4194304 per band"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from casense.config import (
     C0_EXACT,
+    MAX_BAND_CELLS,
     BandConfig,
     Block,
     CaConfig,
@@ -265,6 +266,19 @@ def test_band_config_rejects_bad_values():
         with pytest.raises(InvalidConfig) as info:
             BandConfig(**{**good, **fields})
         assert isinstance(info.value, CasenseError) and isinstance(info.value, ValueError), case
+
+
+def test_band_config_bounds_cells_per_band():
+    good = dict(fc=5.9e9, delta_f=30e3, n_subcarriers=512, n_symbols=64, t_cp=0.0, pilot=Comb(4))
+    assert 512 * 64 * 128 == MAX_BAND_CELLS  # 128 times Table 3's grid
+    BandConfig(**{**good, "n_subcarriers": MAX_BAND_CELLS // 64})  # at the ceiling
+    for n, m in ((MAX_BAND_CELLS // 64 + 4, 64), (2**40, 64), (512, 2**40)):
+        with pytest.raises(InvalidConfig, match=f"over {MAX_BAND_CELLS} per band"):
+            BandConfig(**{**good, "n_subcarriers": n, "n_symbols": m})
+    doc = config_to_dict(make_table3_config())
+    doc["high"]["n_symbols"] = 2**40
+    with pytest.raises(InvalidConfig, match="n_subcarriers \\* n_symbols"):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize("c0", [0.0, -3e8, NAN, INF])

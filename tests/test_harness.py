@@ -12,7 +12,7 @@ import casense.harness
 from casense import recovery
 from casense.channel import Target
 from casense.config import Scheme, make_table3_config, with_scheme
-from casense.errors import InvalidConfig, InvalidNoiseLevel
+from casense.errors import InvalidConfig, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning
 from casense.estimators import AveragedEstimate, SolverOptions
 from casense.harness import (
     ExperimentSpec,
@@ -323,3 +323,125 @@ def test_high_band_baseline_rejects_a_bad_spec_before_simulating(table3, monkeyp
     with pytest.raises(InvalidConfig, match=match):
         run_high_band_baseline(_baseline_spec(table3, trials=1, **overrides))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# trials on the helper pool: results do not depend on where trials ran
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+
+
+@pytest.mark.parametrize("random_targets", [False, True], ids=["fixed", "random"])
+@pytest.mark.parametrize("scheme", [Scheme.CA1, Scheme.CA3], ids=["CA1", "CA3"])
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatch, scheme, random_targets):
+    # 5 trials: with 2 CPUs two chunks of 2 and one trial left, with 3 CPUs three of 1 and 2 left
+    spec = ExperimentSpec(
+        cfg=table3,
+        schemes=(scheme,),
+        target=Target(117.3, 31.0),  # off the bins: errors are not short binary fractions
+        snr_grid=(-28.0, 10.0),  # -28 dB: past the threshold, where trial errors differ
+        trials=5,
+        master_seed=6,
+        solver=FAST,
+        random_targets=random_targets,
+    )
+    rows, csvs = [], []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(recovery, "_cpu_count", lambda: cpus)
+        rows.append(run_sweep(spec))
+        write_sweep_csv(rows[-1], tmp_path / f"{cpus}.csv")
+        csvs.append((tmp_path / f"{cpus}.csv").read_bytes())
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+class CountedHelper(recovery._Helper):
+    pids = []
+
+    def __init__(self):
+        super().__init__()  # returns only in the process that forked the helper
+        CountedHelper.pids.append(self.pid)
+
+
+@needs_fork
+def test_a_hundred_trials_on_three_cpus_start_two_helpers(table3, monkeypatch):
+    # trials and the caller's column blocks share the pool, and helpers start no helpers
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(recovery, "_Helper", CountedHelper)
+    monkeypatch.setattr(CountedHelper, "pids", [])
+    recovery._stop_helpers()
+    spec = ExperimentSpec(
+        cfg=table3,
+        schemes=(Scheme.CA1,),
+        target=Target(117.0, 30.0),
+        snr_grid=(10.0,),
+        trials=100,
+        solver=SolverOptions(max_iters=5, tol=1e-4),
+    )
+    try:
+        run_sweep(spec)
+        assert len(CountedHelper.pids) == 2
+        assert [helper.pid for helper in recovery._helpers] == CountedHelper.pids
+    finally:
+        recovery._stop_helpers()
+
+
+SIMULATE_TRIAL_MATRICES = casense.harness.simulate_trial_matrices
+
+
+def fails_on_trial_1(cfg, target, noise_sigma, seed_parts):
+    if seed_parts[3] == 1:
+        raise InvalidTarget(f"trial {seed_parts[3]} fails")
+    return SIMULATE_TRIAL_MATRICES(cfg, target, noise_sigma, seed_parts)
+
+
+@needs_fork
+def test_trial_that_raises_in_a_helper_raises_as_in_one_process(table3, monkeypatch):
+    spec = ExperimentSpec(
+        cfg=table3,
+        schemes=(Scheme.CA3,),
+        target=Target(117.0, 30.0),
+        snr_grid=(10.0,),
+        trials=2,
+        solver=FAST,
+    )
+    monkeypatch.setattr(recovery, "_Helper", CountedHelper)
+    monkeypatch.setattr(CountedHelper, "pids", [])
+    errors = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(casense.harness, "simulate_trial_matrices", fails_on_trial_1)
+        for cpus in (1, 2):  # trial 1 runs here, then in a helper (chunk 1)
+            mp.setattr(recovery, "_cpu_count", lambda: cpus)
+            recovery._stop_helpers()  # a helper forked from here on fails trial 1 too
+            with pytest.raises(InvalidTarget) as info:
+                run_sweep(spec)
+            errors.append(info.value)
+    assert [(type(e), str(e)) for e in errors] == [(InvalidTarget, "trial 1 fails")] * 2
+    [dead] = CountedHelper.pids
+    assert recovery._helpers == []
+    with pytest.raises(ChildProcessError):  # waited for: no zombie left
+        os.waitpid(dead, os.WNOHANG)
+    # the next sweep starts a live helper and gets the rows of one process
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 2)
+    rows = run_sweep(spec)
+    [live] = recovery._helpers
+    os.kill(live.pid, 0)
+    assert live.pid != dead
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 1)
+    assert run_sweep(spec) == rows
+
+
+def test_ambiguous_velocity_warns_in_the_caller(table3, monkeypatch):
+    # chunk 0 of the trials runs in the calling process, so its warnings reach the caller
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 2)
+    spec = ExperimentSpec(
+        cfg=table3,
+        schemes=(Scheme.CA3,),
+        target=Target(117.0, 400.0),  # past the high band's unambiguous |v| of about 323 m/s
+        snr_grid=(10.0,),
+        trials=4,
+        solver=FAST,
+    )
+    with pytest.warns(VelocityAmbiguityWarning):
+        run_sweep(spec)

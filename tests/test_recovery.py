@@ -582,18 +582,23 @@ def test_solve_after_a_helper_was_killed_is_unchanged(monkeypatch):
     assert len(helper_pids()) == 2 and not set(helper_pids()) & set(killed)
 
 
+SOLVE_BLOCK = recovery._solve_block
+CALLER_PID = None  # the process dies_in_a_helper lets solve; any other one exits
+
+
+def dies_in_a_helper(*args):
+    # module level: a helper receives its call as a pickled reference by module and name
+    if os.getpid() != CALLER_PID:
+        os._exit(1)
+    return SOLVE_BLOCK(*args)
+
+
 @needs_fork
 def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
-    parent, original = os.getpid(), recovery._solve_block
-
-    def dies_in_a_helper(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return original(*args)
-
     monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
     monkeypatch.setattr(recovery, "_solve_block", dies_in_a_helper)
+    monkeypatch.setattr(sys.modules[__name__], "CALLER_PID", os.getpid())
     recovery._stop_helpers()
     try:
         x, iterations = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
@@ -709,3 +714,16 @@ def test_helper_exits_when_its_process_is_killed(tmp_path):
     while not exited(pids[0]) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert exited(pids[0])
+
+
+def helper_pool_seen():
+    """This process's pid and whether it may start a helper."""
+    return os.getpid(), recovery._helpers_for(1) != []
+
+
+@needs_fork
+def test_a_call_in_a_helper_starts_no_helpers():
+    recovery._stop_helpers()
+    seen = recovery._map([(helper_pool_seen, ()), (helper_pool_seen, ())])
+    assert seen == [(os.getpid(), True), (recovery._helpers[0].pid, False)]
+    assert len(recovery._helpers) == 1
