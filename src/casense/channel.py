@@ -41,11 +41,12 @@ class Target:
 
 @dataclass(frozen=True)
 class TargetScene:
-    """Targets plus per-sample complex noise level and RNG seed."""
+    """Targets plus per-sample complex noise level and the noise's seed: whatever
+    np.random.default_rng takes, such as an int >= 0, a tuple of them or a SeedSequence."""
 
     targets: tuple[Target, ...]
     noise_sigma: float = 0.0
-    seed: int | tuple | None = None
+    seed: int | tuple[int, ...] | np.random.SeedSequence | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -93,10 +94,8 @@ def check_velocity_unambiguous(band: BandConfig, velocity_mps: float, c0: float)
         )
 
 
-def simulate_channel_info(
-    tx: TxGrid, scene: TargetScene, c0: float = 299_792_458.0
-) -> ChannelInfoMatrix:
-    """Apply the delay/Doppler channel plus AWGN and divide out the pilots.
+def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelInfoMatrix:
+    """Apply the delay/Doppler channel plus AWGN and divide out the pilots, at speed of light c0.
 
     For each pilot position (n, m) the value is
 

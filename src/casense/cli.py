@@ -69,6 +69,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return n
+
+
 def _spacings(text: str) -> list[float]:
     """Comma list of high-band subcarrier spacings: finite and positive, in Hz."""
     values = [float(t) for t in text.split(",")]
@@ -92,12 +99,21 @@ def _solver(args) -> SolverOptions:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, with_target=False, with_solver=False):
+def _add_common(p: argparse.ArgumentParser, with_target=False, with_solver=False,
+                with_trials=False):
+    """Every subcommand's flags, then the named groups. A subcommand with a target and no
+    trial count simulates one shot, so its --snr is one point; the others take a grid."""
     p.add_argument("--config", help="JSON config file (defaults to the built-in 5.9/24 GHz setup)")
     p.add_argument("--scheme", choices=[s.value for s in Scheme], help="pilot scheme override")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--out", required=True, help="output CSV path or prefix")
-    if with_target:
+    if with_target and not with_trials:
+        p.add_argument("--snr", default="10", help="single SNR in dB")
+    else:
+        p.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
+    if with_trials:
+        p.add_argument("--trials", type=_positive_int, default=100)
+    if with_target:  # a simulated target, so noise is drawn
+        p.add_argument("--seed", type=_seed, default=0, help="master RNG seed, an integer >= 0")
         p.add_argument("--range", dest="range_m", type=float, default=117.0, help="target range (m)")
         p.add_argument("--velocity", type=float, default=30.0, help="target velocity (m/s)")
         p.add_argument("--gain", type=float, default=1.0, help="target gain magnitude")
@@ -110,32 +126,20 @@ def _add_common(p: argparse.ArgumentParser, with_target=False, with_solver=False
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="casense")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="emit both bands' channel matrices as CSV")
-    _add_common(p_sim, with_target=True)
-    p_sim.add_argument("--snr", default="10", help="single SNR in dB")
-
-    p_est = sub.add_parser("estimate", help="single-shot estimate plus spectra CSVs")
-    _add_common(p_est, with_target=True, with_solver=True)
-    p_est.add_argument("--snr", default="10", help="single SNR in dB")
-
+    _add_common(sub.add_parser("simulate", help="emit both bands' channel matrices as CSV"),
+                with_target=True)
+    _add_common(sub.add_parser("estimate", help="single-shot estimate plus spectra CSVs"),
+                with_target=True, with_solver=True)
     p_crlb = sub.add_parser("crlb", help="closed-form and oracle bounds over an SNR grid")
     _add_common(p_crlb)
-    p_crlb.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
     p_crlb.add_argument(
         "--delta-f", dest="delta_f", type=_spacings, default=None,
         help="optional comma list of high-band spacings (Hz) to sweep",
     )
-
-    p_sweep = sub.add_parser("sweep", help="Monte-Carlo RMSE over an SNR grid")
-    _add_common(p_sweep, with_target=True, with_solver=True)
-    p_sweep.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
-    p_sweep.add_argument("--trials", type=_positive_int, default=100)
-
-    p_cmp = sub.add_parser("compare-pilots", help="all four pilot structures on one grid")
-    _add_common(p_cmp, with_target=True, with_solver=True)
-    p_cmp.add_argument("--snr", default="-30:5:10", help=f"SNR grid in dB: {_SNR_HELP}")
-    p_cmp.add_argument("--trials", type=_positive_int, default=100)
+    for name, text in (("sweep", "Monte-Carlo RMSE over an SNR grid"),
+                       ("compare-pilots", "all four pilot structures on one grid")):
+        _add_common(sub.add_parser(name, help=text),
+                    with_target=True, with_solver=True, with_trials=True)
 
     args = parser.parse_args(argv)
     try:

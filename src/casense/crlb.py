@@ -93,7 +93,8 @@ def fisher_oracle(inputs: CrlbInputs) -> tuple[float, float, float]:
     return lo[0] + hi[0], lo[1] + hi[1], lo[2] + hi[2]
 
 
-def report_from_fisher(f11: float, f12: float, f22: float, c0: float, method: str) -> CrlbReport:
+def report_from_fisher(f11: float, f12: float, f22: float, c0: float) -> CrlbReport:
+    """The oracle report: bounds from a Fisher matrix (F11, F12, F22) by inversion."""
     det = f11 * f22 - f12 * f12
     if det <= 1e-12 * abs(f11 * f22):
         raise SingularFisher(f"F11*F22 - F12^2 = {det!r} is not positive")
@@ -104,13 +105,13 @@ def report_from_fisher(f11: float, f12: float, f22: float, c0: float, method: st
         crlb_theta=crlb_theta,
         crlb_range=0.25 * c0 * c0 * crlb_tau,
         crlb_velocity=0.25 * c0 * c0 * crlb_theta,
-        method=method,
+        method="oracle",
     )
 
 
 def crlb_oracle(inputs: CrlbInputs) -> CrlbReport:
     """Bounds from the direct-summation Fisher matrix."""
-    return report_from_fisher(*fisher_oracle(inputs), inputs.cfg.c0, "oracle")
+    return report_from_fisher(*fisher_oracle(inputs), inputs.cfg.c0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,9 @@ def sigma_from_snr(snr_db: float, h: float = 1.0) -> float:
 def crlb_report_for_snr(
     cfg: CaConfig, snr_db: float, h: float = 1.0, method: str = "closed-form"
 ) -> CrlbReport:
+    """The bound of method "closed-form" or "oracle" at one SNR; InvalidConfig for any other."""
+    if method not in ("closed-form", "oracle"):
+        raise InvalidConfig(f"method {method!r} must be 'closed-form' or 'oracle'")
     inputs = CrlbInputs(cfg=cfg, h=h, sigma=sigma_from_snr(snr_db, h))
     return crlb_closed_form(inputs) if method == "closed-form" else crlb_oracle(inputs)
 

@@ -18,11 +18,7 @@ class PilotIntervalDoesNotDivide(CasenseError):
 
 
 class SchemeMismatch(CasenseError):
-    """Estimator called with a configuration of the wrong aggregation scheme."""
-
-
-class PatternMismatch(CasenseError):
-    """Matrix layout does not match the expected pilot pattern."""
+    """Configuration, band or matrix of the wrong aggregation scheme or pilot pattern."""
 
 
 class EmptyScene(CasenseError):

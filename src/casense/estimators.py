@@ -144,7 +144,7 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
     k = d.band.pilot.interval
     n = d.band.n_subcarriers
     op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(n // k, n))
-    columns = rearrange_low_band(d, k)
+    columns = rearrange_low_band(d)
     lam = lasso_lambda(op.adjoint(columns), opts.lambda_scale)
     x, _ = fista_iterations(op, columns, lam, opts.max_iters, opts.tol)
     return PowerSpectrum(np.abs(x).sum(axis=1), range_bin_width(c0, k * d.band.delta_f, n))

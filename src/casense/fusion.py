@@ -17,21 +17,18 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Comb
-from .errors import InvalidConfig, PatternMismatch
+from .errors import InvalidConfig, SchemeMismatch
 from .grids import pilot_slices
 
 
-def rearrange_low_band(d: ChannelInfoMatrix, k_ratio: int) -> np.ndarray:
-    """The (N/K, M) pilot rows of a comb-band matrix: row i is row i*k_ratio.
+def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
+    """The (N/K, M) pilot rows of a comb-band matrix: row i is row i*K, K its comb interval.
 
-    Row gathering only, no interpolation: exact whenever the comb interval
-    equals the gather step. The result is a view of ``d.values``, so its
-    values are the populated ones bit for bit.
+    Row gathering only, no interpolation. The result is a view of
+    ``d.values``, so its values are the populated ones bit for bit.
     """
-    if not isinstance(d.band.pilot, Comb) or d.band.pilot.interval != k_ratio:
-        raise PatternMismatch(
-            f"expected a comb band with interval {k_ratio}, got {d.band.pilot!r}"
-        )
+    if not isinstance(d.band.pilot, Comb):
+        raise SchemeMismatch(f"rearrange_low_band needs a comb-pilot band, got {d.band.pilot!r}")
     return d.values[pilot_slices(d.band)]
 
 

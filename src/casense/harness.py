@@ -50,9 +50,10 @@ class ExperimentSpec:
         if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in snr_grid):
             raise InvalidConfig(f"snr grid {snr_grid!r} must hold only real numbers")
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in snr_grid))
-        trials = self.trials
-        if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
-            raise InvalidConfig(f"trials {trials!r} must be an integer >= 1")
+        for name, least in (("trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+                raise InvalidConfig(f"{name} {value!r} must be an integer >= {least}")
         if not self.snr_grid:
             raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:

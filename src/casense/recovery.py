@@ -56,22 +56,22 @@ class SensingOperator:
     def n_measurements(self) -> int:
         return int(self.row_mask.sum())
 
-    def _transform(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def fft_pair(self):
+        """(transform, inverse, a, b), the one map from direction to FFTs: A x =
+        transform(x)[row_mask] * a and A* y = inverse(y zero-filled) * b, where a * b = 1."""
+        root, inverse_root = np.sqrt(self.n), 1.0 / np.sqrt(self.n)
         if self.direction == FORWARD:
-            return np.fft.fft(x, axis=0) / np.sqrt(self.n)
-        return np.fft.ifft(x, axis=0) * np.sqrt(self.n)
-
-    def _adjoint_transform(self, y: np.ndarray) -> np.ndarray:
-        if self.direction == FORWARD:
-            return np.fft.ifft(y, axis=0) * np.sqrt(self.n)
-        return np.fft.fft(y, axis=0) / np.sqrt(self.n)
+            return np.fft.fft, np.fft.ifft, inverse_root, root
+        return np.fft.ifft, np.fft.fft, root, inverse_root
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x: transform then keep the masked rows. Accepts (n,) or (n, b)."""
         x = np.asarray(x)
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"expected leading dimension {self.n}, got {x.shape}")
-        return self._transform(x)[self.row_mask]
+        transform, _, a, _ = self.fft_pair
+        return transform(x, axis=0)[self.row_mask] * a
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* y: scatter measurements back to masked rows, inverse-transform."""
@@ -82,7 +82,8 @@ class SensingOperator:
             )
         full = np.zeros((self.n,) + y.shape[1:], dtype=complex)
         full[self.row_mask] = y
-        return self._adjoint_transform(full)
+        _, inverse, _, b = self.fft_pair
+        return inverse(full, axis=0) * b
 
     def atoms(self, indices: np.ndarray) -> np.ndarray:
         """Columns of A (measurement vectors of unit spikes), shape (p, len(indices))."""
@@ -148,12 +149,6 @@ def soft_threshold(z: np.ndarray, t) -> np.ndarray:
     """Complex soft threshold: shrink magnitude by t, preserve phase."""
     mag = np.abs(z)
     return z * np.maximum(1.0 - t / np.maximum(mag, 1e-300), 0.0)
-
-
-def objective_value(op: SensingOperator, d: np.ndarray, lam, x: np.ndarray):
-    r = d - op.apply(x)
-    obj = 0.5 * np.sum(np.abs(r) ** 2, axis=0) + np.asarray(lam) * np.sum(np.abs(x), axis=0)
-    return obj if obj.ndim else float(obj)
 
 
 def fista_iterations(
@@ -255,10 +250,7 @@ def _solve_block(op: SensingOperator, rows, lam, max_iters: int, tol: float, mom
     The row views of the running prefix are taken again only when the
     active count changes; x and x_next swap their views with the buffers.
     """
-    if op.direction == FORWARD:
-        transform, inverse, scale = np.fft.fft, np.fft.ifft, np.sqrt(op.n)
-    else:
-        transform, inverse, scale = np.fft.ifft, np.fft.fft, 1.0 / np.sqrt(op.n)
+    transform, inverse, _, scale = op.fft_pair  # transform(y) at the kept rows is (A y) * scale
     kept = _as_slice(np.flatnonzero(op.row_mask))
     data = np.multiply(rows, scale, order="C")
     active = len(rows)
@@ -497,24 +489,13 @@ def solve_fista(p: LassoProblem) -> RecoveryResult:
     Non-convergence is not an error: the result carries the iteration count
     and KKT residual for the caller to judge.
     """
-    return _solve_proximal(p, momentum=True)
+    return _result(p, *fista_iterations(p.operator, p.observations, p.lam, p.max_iters, p.tol))
 
 
 def solve_ista(p: LassoProblem) -> RecoveryResult:
     """Plain proximal gradient (no momentum); baseline for FISTA."""
-    return _solve_proximal(p, momentum=False)
-
-
-def _solve_proximal(p: LassoProblem, momentum: bool) -> RecoveryResult:
-    x, iters = fista_iterations(
-        p.operator, p.observations, p.lam, p.max_iters, p.tol, momentum=momentum
-    )
-    return RecoveryResult(
-        x_hat=x,
-        iterations=iters,
-        objective=objective_value(p.operator, p.observations, p.lam, x),
-        kkt_residual=certify_kkt(p, x),
-    )
+    x, k = fista_iterations(p.operator, p.observations, p.lam, p.max_iters, p.tol, momentum=False)
+    return _result(p, x, k)
 
 
 def solve_omp(p: LassoProblem, sparsity: int) -> RecoveryResult:
@@ -538,25 +519,25 @@ def solve_omp(p: LassoProblem, sparsity: int) -> RecoveryResult:
             break
     x = np.zeros(p.operator.n, dtype=complex)
     x[support] = coef
-    return RecoveryResult(
-        x_hat=x,
-        iterations=iterations,
-        objective=objective_value(p.operator, d, p.lam, x),
-        kkt_residual=certify_kkt(p, x),
-    )
+    return _result(p, x, iterations)
+
+
+def _result(p: LassoProblem, x: np.ndarray, iterations: int) -> RecoveryResult:
+    """x with its lasso objective 0.5 ||r||^2 + lam ||x||_1 and KKT residual, from one r = d - A x.
+
+    With g = A* r, dual feasibility needs |g_i| <= lam on zero entries and
+    g_i = lam * x_i/|x_i| on nonzero ones; the KKT residual is the largest
+    violation of either, zero iff x is optimal.
+    """
+    r = p.observations - p.operator.apply(x)
+    objective = 0.5 * np.sum(np.abs(r) ** 2) + np.asarray(p.lam) * np.sum(np.abs(x))
+    g = p.operator.adjoint(r)
+    nz = np.abs(x) > 0
+    r_zero = float(np.maximum(np.abs(g[~nz]) - p.lam, 0.0).max()) if (~nz).any() else 0.0
+    r_nz = float(np.abs(g[nz] - p.lam * x[nz] / np.abs(x[nz])).max()) if nz.any() else 0.0
+    return RecoveryResult(x, iterations, float(objective), max(r_zero, r_nz))
 
 
 def certify_kkt(p: LassoProblem, x_hat: np.ndarray) -> float:
-    """Lasso optimality certificate; zero iff x_hat is optimal.
-
-    With g = A*(d - A x_hat): on zero entries dual feasibility needs
-    |g_i| <= lam; on nonzero entries g_i must equal lam * x_i/|x_i|.
-    Returns the largest violation of either condition.
-    """
-    g = p.operator.adjoint(p.observations - p.operator.apply(x_hat))
-    nz = np.abs(x_hat) > 0
-    r_zero = float(np.maximum(np.abs(g[~nz]) - p.lam, 0.0).max()) if (~nz).any() else 0.0
-    r_nz = (
-        float(np.abs(g[nz] - p.lam * x_hat[nz] / np.abs(x_hat[nz])).max()) if nz.any() else 0.0
-    )
-    return max(r_zero, r_nz)
+    """Lasso optimality certificate of x_hat, zero iff it is optimal (see _result)."""
+    return _result(p, x_hat, 0).kkt_residual

@@ -113,6 +113,17 @@ BAD_INPUTS = [pytest.param(c, ["--snr", "nan"], NAN_SNR, id=c) for c in SUBCOMMA
     )
     for c in ("sweep", "compare-pilots")
     for v in ("2.5", "abc")
+] + [
+    pytest.param(
+        c, ["--seed", "-1"], f"casense {c}: error: argument --seed: '-1' is not an integer >= 0",
+        id=f"{c}-seed=-1",
+    )
+    for c in ("simulate", "estimate", "sweep", "compare-pilots")
+] + [
+    # the bounds draw no noise, so crlb takes no seed
+    pytest.param(
+        "crlb", ["--seed", "0"], "casense: error: unrecognized arguments: --seed 0", id="crlb-seed",
+    )
 ]
 
 
@@ -494,7 +505,7 @@ def test_ca1_estimate_runs_snapshot_spectra_and_rearranges_once(tmp_path, monkey
     patch_counter(monkeypatch, casense.fusion, "rearrange_low_band", gathers)
     assert main(["estimate", "--out", str(tmp_path / "shot"), "--max-iters", "5"]) == 0
     assert len(snapshots) == 1
-    assert [args[1] for args in gathers] == [make_table3_config().k_ratio]
+    assert [args[0].band for args in gathers] == [make_table3_config().low]
 
 
 @pytest.mark.parametrize(

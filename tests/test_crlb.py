@@ -23,7 +23,7 @@ from casense.crlb import (
     report_from_fisher,
     sigma_from_snr,
 )
-from casense.errors import InvalidNoiseLevel, SingularFisher, UnsupportedScheme
+from casense.errors import InvalidConfig, InvalidNoiseLevel, SingularFisher, UnsupportedScheme
 from conftest import lattice_config, log_likelihood, score, signal_model
 
 
@@ -52,7 +52,7 @@ def test_fisher_scales_with_sigma():
 def test_singular_fisher_without_time_diversity():
     # no Doppler information: F22 = 0 makes the matrix singular
     with pytest.raises(SingularFisher):
-        report_from_fisher(4.0, 1.0, 0.0, 3e8, "oracle")
+        report_from_fisher(4.0, 1.0, 0.0, 3e8)
 
 
 def test_crlb_report_consistency():
@@ -135,8 +135,8 @@ def test_single_band_range_crlb_scales_with_spacing():
     t_target = base.symbol_duration
     doubled = BandConfig(24e9, 240e3, 64, 16, t_target - 1 / 240e3, Block(4))
     assert doubled.symbol_duration == pytest.approx(t_target, rel=1e-12)
-    rep1 = report_from_fisher(*band_fisher(base), 3e8, "oracle")
-    rep2 = report_from_fisher(*band_fisher(doubled), 3e8, "oracle")
+    rep1 = report_from_fisher(*band_fisher(base), 3e8)
+    rep2 = report_from_fisher(*band_fisher(doubled), 3e8)
     assert rep2.crlb_range == pytest.approx(rep1.crlb_range / 4.0, rel=1e-9)
 
 
@@ -165,6 +165,15 @@ def test_sigma_from_snr_mapping():
     rep_cf = crlb_report_for_snr(make_table3_config(), 0.0)
     rep_or = crlb_report_for_snr(make_table3_config(), 0.0, method="oracle")
     assert rep_cf.crlb_range == pytest.approx(rep_or.crlb_range, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "Closed-Form", "Oracle", ""])
+def test_unknown_bound_method_is_rejected_not_read_as_oracle(method):
+    cfg = make_table3_config()
+    with pytest.raises(InvalidConfig, match="must be 'closed-form' or 'oracle'"):
+        crlb_report_for_snr(cfg, 0.0, method=method)
+    with pytest.raises(InvalidConfig, match="must be 'closed-form' or 'oracle'"):
+        crlb_sweep(cfg, [0.0], method=method)
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0, 3.7])

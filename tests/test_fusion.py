@@ -3,7 +3,7 @@ import pytest
 
 from casense.channel import ChannelInfoMatrix, Target, TargetScene, simulate_channel_info
 from casense.config import BandConfig, Block, Comb, make_table3_config
-from casense.errors import PatternMismatch
+from casense.errors import SchemeMismatch
 from casense.fusion import build_range_selection, rearrange_low_band
 from casense.grids import generate_tx_grid, pilot_mask
 
@@ -23,7 +23,7 @@ def comb_matrix(n=8, m=3, k=4, fill=None):
 
 def test_rearrange_small_example():
     d = comb_matrix(n=8, m=3, k=4)
-    out = rearrange_low_band(d, 4)
+    out = rearrange_low_band(d)
     assert out.shape == (2, 3)
     assert np.array_equal(out[0], d.values[0])
     assert np.array_equal(out[1], d.values[4])
@@ -33,13 +33,13 @@ def test_rearrange_table3_valid_rows():
     cfg = make_table3_config()
     tx = generate_tx_grid(cfg.low, seed=0)
     d = simulate_channel_info(tx, TargetScene((Target(50.0, 5.0),), 0.0), c0=C0)
-    out = rearrange_low_band(d, cfg.k_ratio)
+    out = rearrange_low_band(d)
     assert out.shape == (128, cfg.low.n_symbols)
 
 
 def test_rearrange_preserves_values_bit_exactly():
     d = comb_matrix(n=16, m=4, k=2)
-    out = rearrange_low_band(d, 2)
+    out = rearrange_low_band(d)
     gathered = d.values[::2]
     assert np.array_equal(out, gathered)
     # injective: row count preserved, no duplicates introduced
@@ -53,7 +53,7 @@ def test_rearranged_phase_progression_matches_high_band_grid():
     r = 117.0
     tx = generate_tx_grid(cfg.low, seed=1)
     d = simulate_channel_info(tx, TargetScene((Target(r, 30.0),), 0.0), c0=C0)
-    out = rearrange_low_band(d, cfg.k_ratio)
+    out = rearrange_low_band(d)
     ratio = out[1, 0] / out[0, 0]
     expected = np.exp(-2j * np.pi * cfg.high.delta_f * 2 * r / C0)
     assert ratio == pytest.approx(expected, rel=1e-9)
@@ -64,7 +64,7 @@ def test_rearranged_matches_high_band_range_law_elementwise():
     r = 93.5
     tx_low = generate_tx_grid(cfg.low, seed=2)
     d_low = simulate_channel_info(tx_low, TargetScene((Target(r, 0.0),), 0.0), c0=C0)
-    out = rearrange_low_band(d_low, cfg.k_ratio)
+    out = rearrange_low_band(d_low)
     k_r2 = np.exp(-2j * np.pi * np.arange(len(out)) * cfg.high.delta_f * 2 * r / C0)
     got = out[:, 0] / out[0, 0]
     assert np.max(np.abs(got - k_r2)) < 1e-9
@@ -85,14 +85,8 @@ def test_doppler_laws_coincide_across_bands():
 def test_rearrange_rejects_block_band():
     band = BandConfig(24e9, 120e3, 8, 4, 1e-6, Block(2))
     d = ChannelInfoMatrix(values=np.zeros((8, 4), complex), band=band)
-    with pytest.raises(PatternMismatch):
-        rearrange_low_band(d, 2)
-
-
-def test_rearrange_rejects_wrong_step():
-    d = comb_matrix(n=8, m=3, k=4)
-    with pytest.raises(PatternMismatch):
-        rearrange_low_band(d, 2)
+    with pytest.raises(SchemeMismatch, match="needs a comb-pilot band"):
+        rearrange_low_band(d)
 
 
 def test_build_range_selection():

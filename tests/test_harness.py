@@ -288,6 +288,9 @@ def test_experiment_spec_validation(table3):
     for trials in (0, 1.5, True):
         with pytest.raises(InvalidConfig, match=f"trials {trials!r} must be an integer >= 1"):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), trials=trials)
+    for seed in (-1, 1.5, True, None):  # numpy's SeedSequence takes integers >= 0 only
+        with pytest.raises(InvalidConfig, match=f"master_seed {seed!r} must be an integer >= 0"):
+            ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), master_seed=seed)
     with pytest.raises(InvalidConfig):
         ExperimentSpec(table3, (), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
     with pytest.raises(InvalidConfig, match="must all be Scheme members"):
