@@ -41,9 +41,8 @@ from .estimators import (
     Estimate,
     PowerSpectrum,
     SolverOptions,
+    band_spectrum,
     estimate_any_scheme,
-    estimate_band_range,
-    estimate_band_velocity,
     top_k_peaks,
 )
 from .fusion import build_range_selection, rearrange_low_band

@@ -82,18 +82,6 @@ def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     return sigma
 
 
-def check_velocity_unambiguous(band: BandConfig, velocity_mps: float, c0: float) -> None:
-    """Warn when |v| exceeds the band's unambiguous Doppler span."""
-    frac = abs(velocity_mps) * 2.0 * band.fc * band.symbol_duration / c0
-    if frac >= 0.5:
-        warnings.warn(
-            f"|v|={abs(velocity_mps)} m/s aliases: normalized Doppler "
-            f"{frac:.3f} >= 1/2 at fc={band.fc:g} Hz",
-            VelocityAmbiguityWarning,
-            stacklevel=3,
-        )
-
-
 def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelInfoMatrix:
     """Apply the delay/Doppler channel plus AWGN and divide out the pilots, at speed of light c0.
 
@@ -105,6 +93,7 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
     with w i.i.d. circular complex Gaussian of std ``scene.noise_sigma``.
     Division by the unit-modulus pilot leaves the noise distribution
     unchanged. Non-pilot positions stay zero. Deterministic per scene seed.
+    Warns VelocityAmbiguityWarning for a |v| past the band's unambiguous Doppler span.
     """
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
@@ -118,7 +107,14 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
     for tgt in scene.targets:
         if tgt.range_m >= r_max:
             raise InvalidTarget(f"range {tgt.range_m} m is beyond the unambiguous span {r_max} m")
-        check_velocity_unambiguous(band, tgt.velocity_mps, c0)
+        doppler = abs(tgt.velocity_mps) * 2.0 * band.fc * t_sym / c0  # cycles per symbol
+        if doppler >= 0.5:
+            warnings.warn(
+                f"|v|={abs(tgt.velocity_mps)} m/s aliases: normalized Doppler "
+                f"{doppler:.3f} >= 1/2 at fc={band.fc:g} Hz",
+                VelocityAmbiguityWarning,
+                stacklevel=2,
+            )
         k_r = np.exp(-2j * np.pi * rows * band.delta_f * 2.0 * tgt.range_m / c0)
         k_d = np.exp(2j * np.pi * cols * t_sym * 2.0 * tgt.velocity_mps * band.fc / c0)
         # ramp * gain, not gain * ramp: numpy rounds a complex product by operand order

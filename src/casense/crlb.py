@@ -53,7 +53,6 @@ class CrlbReport:
     crlb_theta: float
     crlb_range: float  # m^2
     crlb_velocity: float  # (m/s)^2
-    method: str  # "closed-form" | "oracle"
 
     @property
     def rcrlb_range(self) -> float:  # m
@@ -105,7 +104,6 @@ def report_from_fisher(f11: float, f12: float, f22: float, c0: float) -> CrlbRep
         crlb_theta=crlb_theta,
         crlb_range=0.25 * c0 * c0 * crlb_tau,
         crlb_velocity=0.25 * c0 * c0 * crlb_theta,
-        method="oracle",
     )
 
 
@@ -209,7 +207,6 @@ def crlb_closed_form(inputs: CrlbInputs) -> CrlbReport:
         crlb_theta=4.0 * crlb_v / (c0 * c0),
         crlb_range=crlb_r,
         crlb_velocity=crlb_v,
-        method="closed-form",
     )
 
 

@@ -13,11 +13,11 @@ peak search:
   computed on one period of M/Q bins and tiled, so the comb range recovery
   is the only iterative solve.
 
-The other three schemes estimate per band with the pattern-appropriate
-primitive and average the two physical estimates. A lone periodic-mask CS
-spectrum carries exact Q-fold aliases (its period is tiled, so this holds
-bit for bit for every M), so its peak search is restricted to the band's
-unambiguous prefix of M/Q bins.
+``band_spectrum`` is the one pilot-pattern dispatch. The other three schemes
+peak-search each band's spectrum and average the two physical estimates. A
+lone periodic-mask CS spectrum carries exact Q-fold aliases (its period is
+tiled, so this holds bit for bit for every M), so its peak search is
+restricted to the band's unambiguous prefix of M/Q bins.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, velocity_bin_width
-from .errors import InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
+from .errors import InvalidConfig, InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
 from .fusion import build_range_selection, rearrange_low_band
 from .grids import pilot_slices
 from .recovery import (
-    FORWARD, SensingOperator, check_solver_knobs, fista_iterations, lasso_lambda, soft_threshold
+    FORWARD, SensingOperator, check_integer, check_solver_knobs, fista_iterations, lasso_lambda,
+    soft_threshold,
 )
 
 
@@ -59,12 +60,6 @@ class PowerSpectrum:
     values: np.ndarray  # real, (N,) or (M,)
     bin_width: float  # meters per bin, or m/s per bin
 
-    def normalize(self) -> "PowerSpectrum":
-        peak = float(self.values.max())
-        if peak <= 0:
-            return PowerSpectrum(self.values.copy(), self.bin_width)
-        return PowerSpectrum(self.values / peak, self.bin_width)
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -87,20 +82,19 @@ class AveragedEstimate:
 
 def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = None) -> Estimate:
     """Normalize, search the (optionally restricted) window, map bin to physical."""
-    if not np.isfinite(spectrum.values).all():
+    values = spectrum.values
+    if not np.isfinite(values).all():
         raise NonFiniteSpectrum(f"{kind} spectrum holds NaN or inf values")
-    norm = spectrum.normalize()
-    window = norm.values if search_bins is None else norm.values[:search_bins]
-    b = int(np.argmax(window))
+    peak = float(values.max())
+    norm = PowerSpectrum(values / peak if peak > 0 else values.copy(), spectrum.bin_width)
+    b = int(np.argmax(norm.values[:search_bins]))  # [:None] is the whole spectrum
     return Estimate(kind=kind, peak_bin=b, value=b * norm.bin_width, spectrum=norm)
 
 
 def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[int, float]]:
     """Greedy maxima with +-guard exclusion zones, descending by value."""
-    if k < 1:
-        raise InvalidSolverOptions("k must be >= 1")
-    if guard < 0:
-        raise InvalidSolverOptions("guard must be >= 0")
+    check_integer("k", k, 1, InvalidSolverOptions)
+    check_integer("guard", guard, 0, InvalidSolverOptions)
     if not np.isfinite(spectrum.values).all():
         raise NonFiniteSpectrum("spectrum holds NaN or inf values")
     work = spectrum.values.astype(float).copy()
@@ -187,31 +181,31 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
 
 
 # ---------------------------------------------------------------------------
-# per-band estimates and the scheme dispatch
+# the pilot-pattern dispatch and the scheme dispatch
 # ---------------------------------------------------------------------------
 
-def estimate_band_range(
-    d: ChannelInfoMatrix, c0: float, opts: SolverOptions = SolverOptions()
-) -> Estimate:
-    """Single-band range estimate with the pattern-appropriate primitive."""
-    if isinstance(d.band.pilot, Block):
-        return peak_estimate(range_spectrum_block(d, c0), "range")
-    return peak_estimate(range_spectrum_comb_cs(d, c0, opts), "range")
+def band_spectrum(
+    d: ChannelInfoMatrix, kind: str, c0: float, opts: SolverOptions = SolverOptions()
+) -> tuple[PowerSpectrum, int]:
+    """One band's "range" or "velocity" spectrum by its pilot pattern, and how many
+    leading bins its peak search may cover.
 
-
-def estimate_band_velocity(
-    d: ChannelInfoMatrix, c0: float, opts: SolverOptions = SolverOptions()
-) -> Estimate:
-    """Single-band velocity estimate with the pattern-appropriate primitive.
-
-    For a block band the periodic-mask CS spectrum repeats every M/Q bins,
-    so the peak search is restricted to that unambiguous prefix.
+    A comb band gives a CS range spectrum and an FFT velocity spectrum, a
+    block band an IDFT range spectrum and a CS velocity spectrum. A search
+    may cover the whole spectrum, except on a block band's CS velocity
+    spectrum: it repeats every M/Q bins, so its search covers that prefix.
+    Raises InvalidConfig for a kind other than the two.
     """
-    if isinstance(d.band.pilot, Comb):
-        return peak_estimate(velocity_spectrum_comb(d, c0), "velocity")
-    spectrum = velocity_spectrum_block_cs(d, c0, opts)
-    window = d.band.n_symbols // d.band.pilot.interval
-    return peak_estimate(spectrum, "velocity", search_bins=window)
+    comb = isinstance(d.band.pilot, Comb)
+    if kind == "range":
+        spectrum = range_spectrum_comb_cs(d, c0, opts) if comb else range_spectrum_block(d, c0)
+    elif kind == "velocity" and comb:
+        spectrum = velocity_spectrum_comb(d, c0)
+    elif kind == "velocity":
+        return velocity_spectrum_block_cs(d, c0, opts), d.band.n_symbols // d.band.pilot.interval
+    else:
+        raise InvalidConfig(f"kind {kind!r} must be 'range' or 'velocity'")
+    return spectrum, len(spectrum.values)
 
 
 def estimate_any_scheme(
@@ -230,27 +224,23 @@ def estimate_any_scheme(
     two bands' peak bins coincide because T_low * fc_low = T_high * fc_high.
     Each fused spectrum is normalized once, then peak-searched.
 
-    CA2..CA4 return two ``AveragedEstimate``s: per-band estimates with the
-    pattern-appropriate primitive (block bands: plain IDFT columns for range,
-    CS-DFT rows for velocity; comb bands: CS-IDFT columns for range, plain
-    FFT pilot rows for velocity), averaged in physical units because the
-    bands' bin widths differ.
+    CA2..CA4 return two ``AveragedEstimate``s: each band's ``band_spectrum``
+    is peak-searched over its own bins, and the two estimates are averaged in
+    physical units because the bands' bin widths differ.
 
     Raises SchemeMismatch if the matrices do not come from cfg's bands.
     """
     if d_low.band != cfg.low or d_high.band != cfg.high:
         raise SchemeMismatch("channel matrices do not come from the configured bands")
-    if cfg.scheme is Scheme.CA1:
-        r_high = range_spectrum_block(d_high, cfg.c0)
-        r_low = range_spectrum_comb_cs(d_low, cfg.c0, opts)
-        rng = peak_estimate(PowerSpectrum(r_high.values + r_low.values, r_high.bin_width), "range")
-        v_low = velocity_spectrum_comb(d_low, cfg.c0)
-        v_high = velocity_spectrum_block_cs(d_high, cfg.c0, opts)
-        vel = peak_estimate(PowerSpectrum(v_low.values + v_high.values, v_high.bin_width), "velocity")
-        return rng, vel
-    r_low, r_high = (estimate_band_range(d, cfg.c0, opts) for d in (d_low, d_high))
-    v_low, v_high = (estimate_band_velocity(d, cfg.c0, opts) for d in (d_low, d_high))
-    return (
-        AveragedEstimate("range", 0.5 * (r_low.value + r_high.value), (r_low, r_high)),
-        AveragedEstimate("velocity", 0.5 * (v_low.value + v_high.value), (v_low, v_high)),
-    )
+    estimates = []
+    for kind in ("range", "velocity"):
+        spectra = (band_spectrum(d, kind, cfg.c0, opts) for d in (d_low, d_high))
+        if cfg.scheme is Scheme.CA1:
+            (low, _), (high, _) = spectra
+            fused = PowerSpectrum(low.values + high.values, high.bin_width)
+            estimates.append(peak_estimate(fused, kind))
+        else:
+            per_band = tuple(peak_estimate(spectrum, kind, bins) for spectrum, bins in spectra)
+            value = 0.5 * (per_band[0].value + per_band[1].value)
+            estimates.append(AveragedEstimate(kind, value, per_band))
+    return tuple(estimates)

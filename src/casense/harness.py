@@ -3,8 +3,8 @@
 A sweep over several schemes, such as all four pilot structures on one SNR
 grid, is one ``run_sweep`` of an ``ExperimentSpec`` listing them. Trial
 seeds are derived from the master seed by counters (scheme, SNR point,
-trial, stream) and a point's squared errors are added in trial order, so the
-rows are the same on whichever CPUs ``run_sweep`` ran the trials. A failed
+trial, stream) and a point's squared errors are added in trial order, so
+sweep and baseline rows are the same on whichever CPUs ran the trials. A failed
 trial aborts the run; silently skipping trials would bias the RMSE.
 """
 
@@ -24,9 +24,9 @@ from .estimators import (
     AveragedEstimate,
     Estimate,
     SolverOptions,
+    band_spectrum,
     estimate_any_scheme,
-    estimate_band_range,
-    estimate_band_velocity,
+    peak_estimate,
 )
 from .grids import generate_tx_grid, write_csv
 
@@ -50,10 +50,8 @@ class ExperimentSpec:
         if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in snr_grid):
             raise InvalidConfig(f"snr grid {snr_grid!r} must hold only real numbers")
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in snr_grid))
-        for name, least in (("trials", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-                raise InvalidConfig(f"{name} {value!r} must be an integer >= {least}")
+        recovery.check_integer("trials", self.trials, 1, InvalidConfig)
+        recovery.check_integer("master_seed", self.master_seed, 0, InvalidConfig)
         if not self.snr_grid:
             raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:
@@ -118,6 +116,29 @@ def simulate_trial_matrices(
     return tuple(_simulate_band(cfg, i, target, noise_sigma, seed_parts) for i in (0, 1))
 
 
+def _points(spec: ExperimentSpec, trial_errors, *context):
+    """(snr_db, noise_sigma, rmse_range, rmse_velocity) of each SNR point of spec, in order.
+
+    trial_errors(spec, *context, snr_idx, noise_sigma, lo, hi) returns the
+    squared (range, velocity) errors of the point's trials lo..hi-1, in order.
+    With W CPUs and T >= W trials, a point's first W * (T // W) trials run as
+    W contiguous chunks on the helper pool, chunk 0 in this thread, then the
+    T mod W left run here. With T < W all trials run here.
+    """
+    cpus = recovery._cpu_count()
+    chunks = cpus if spec.trials >= cpus else 1
+    size = spec.trials // chunks
+    for snr_idx, snr_db in enumerate(spec.snr_grid):
+        noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
+        args = (spec, *context, snr_idx, noise_sigma)
+        calls = [(trial_errors, (*args, k * size, (k + 1) * size)) for k in range(chunks)]
+        errors = [e for chunk in recovery._map(calls) for e in chunk]
+        errors += trial_errors(*args, chunks * size, spec.trials)
+        # accumulate adds in trial order, one by one, as a serial loop would
+        rmse_r, rmse_v = np.sqrt(np.add.accumulate(errors, axis=0)[-1] / spec.trials).tolist()
+        yield snr_db, noise_sigma, rmse_r, rmse_v
+
+
 def _trial_errors(spec: ExperimentSpec, cfg: CaConfig, scheme_idx, snr_idx, noise_sigma, lo, hi):
     """Squared (range, velocity) errors of trials lo..hi-1 of one (scheme, SNR) point, in order."""
     errors = []
@@ -133,26 +154,11 @@ def _trial_errors(spec: ExperimentSpec, cfg: CaConfig, scheme_idx, snr_idx, nois
 
 
 def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
-    """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside.
-
-    With W CPUs and T >= W trials, a point's first W * (T // W) trials run as
-    W contiguous chunks on the helper pool, chunk 0 in this thread, then the
-    T mod W left run here. With T < W all trials run here.
-    """
+    """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside."""
     rows = []
-    cpus = recovery._cpu_count()
-    chunks = cpus if spec.trials >= cpus else 1
-    size = spec.trials // chunks
     for scheme_idx, scheme in enumerate(spec.schemes):
         cfg = spec.cfg if spec.cfg.scheme is scheme else with_scheme(spec.cfg, scheme)
-        for snr_idx, snr_db in enumerate(spec.snr_grid):
-            noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
-            point = (spec, cfg, scheme_idx, snr_idx, noise_sigma)
-            calls = [(_trial_errors, (*point, k * size, (k + 1) * size)) for k in range(chunks)]
-            errors = [e for chunk in recovery._map(calls) for e in chunk]
-            errors += _trial_errors(*point, chunks * size, spec.trials)
-            # accumulate adds in trial order, one by one, as a serial loop would
-            sq_r, sq_v = np.add.accumulate(errors, axis=0)[-1]
+        for snr_db, noise_sigma, rmse_r, rmse_v in _points(spec, _trial_errors, cfg, scheme_idx):
             if noise_sigma > 0:
                 rep = crlb_report_for_snr(cfg, snr_db, abs(spec.target.gain), "oracle")
                 rcrlb_r, rcrlb_v = rep.rcrlb_range, rep.rcrlb_velocity
@@ -162,8 +168,8 @@ def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
                 SweepRow(
                     scheme=scheme.value,
                     snr_db=snr_db,
-                    rmse_range=float(np.sqrt(sq_r / spec.trials)),
-                    rmse_velocity=float(np.sqrt(sq_v / spec.trials)),
+                    rmse_range=rmse_r,
+                    rmse_velocity=rmse_v,
                     rcrlb_range=rcrlb_r,
                     rcrlb_velocity=rcrlb_v,
                     trials=spec.trials,
@@ -172,40 +178,40 @@ def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
+def _baseline_errors(spec: ExperimentSpec, streams, snr_idx, noise_sigma, lo, hi):
+    """Squared (range, velocity) errors of trials lo..hi-1 of one baseline point, in order;
+    streams holds (cfg, slot, kind, truth) for range, then velocity: each is estimated
+    from cfg's high band alone, simulated on scheme slot `slot`'s streams."""
+    errors = []
+    for trial in range(lo, hi):
+        errors.append([])
+        for cfg, slot, kind, truth in streams:
+            seed_parts = (spec.master_seed, slot, snr_idx, trial)
+            d = _simulate_band(cfg, 1, spec.target, noise_sigma, seed_parts)
+            spectrum, bins = band_spectrum(d, kind, cfg.c0, spec.solver)
+            errors[-1].append((peak_estimate(spectrum, kind, bins).value - truth) ** 2)
+    return errors
+
+
 def run_high_band_baseline(spec: ExperimentSpec) -> list[dict]:
     """Single-band references on spec's fixed target, spec.schemes unused: block
     high band for range, comb high band for velocity (each is the high-band
-    half of the matching pipeline)."""
+    half of the matching pipeline). Its points run as a sweep's do."""
     if spec.random_targets:
         raise InvalidConfig("the high-band baseline needs a fixed target, not random_targets")
-    cfg, target, trials, master_seed = spec.cfg, spec.target, spec.trials, spec.master_seed
-    cfg_block = cfg if cfg.scheme is Scheme.CA1 else with_scheme(cfg, Scheme.CA1)
-    cfg_comb = with_scheme(cfg, Scheme.CA4)
-    rows = []
-    for snr_idx, snr_db in enumerate(spec.snr_grid):
-        noise_sigma = sigma_for_snr(snr_db, target.gain)
-        sq_r = 0.0
-        sq_v = 0.0
-        for trial in range(trials):
-            d_block = _simulate_band(
-                cfg_block, 1, target, noise_sigma, (master_seed, _HIGH_BLOCK_SLOT, snr_idx, trial)
-            )
-            d_comb = _simulate_band(
-                cfg_comb, 1, target, noise_sigma, (master_seed, _HIGH_COMB_SLOT, snr_idx, trial)
-            )
-            r_hat = estimate_band_range(d_block, cfg.c0, spec.solver).value
-            v_hat = estimate_band_velocity(d_comb, cfg.c0, spec.solver).value
-            sq_r += (r_hat - target.range_m) ** 2
-            sq_v += (v_hat - target.velocity_mps) ** 2
-        rows.append(
-            {
-                "snr_db": snr_db,
-                "rmse_range_high_block": float(np.sqrt(sq_r / trials)),
-                "rmse_velocity_high_comb": float(np.sqrt(sq_v / trials)),
-                "trials": trials,
-            }
-        )
-    return rows
+    streams = (
+        (with_scheme(spec.cfg, Scheme.CA1), _HIGH_BLOCK_SLOT, "range", spec.target.range_m),
+        (with_scheme(spec.cfg, Scheme.CA4), _HIGH_COMB_SLOT, "velocity", spec.target.velocity_mps),
+    )
+    return [
+        {
+            "snr_db": snr_db,
+            "rmse_range_high_block": rmse_r,
+            "rmse_velocity_high_comb": rmse_v,
+            "trials": spec.trials,
+        }
+        for snr_db, _, rmse_r, rmse_v in _points(spec, _baseline_errors, streams)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, InvalidSolverOptions
+from .errors import CasenseError, DimensionMismatch, InvalidConfig, InvalidSolverOptions
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -43,6 +43,7 @@ class SensingOperator:
     row_mask: np.ndarray  # bool, (n,)
 
     def __post_init__(self):
+        check_integer("n", self.n, 1, InvalidConfig)
         if self.direction not in (FORWARD, INVERSE):
             raise InvalidConfig(f"direction must be {FORWARD!r} or {INVERSE!r}")
         mask = np.asarray(self.row_mask, dtype=bool)
@@ -85,13 +86,11 @@ class SensingOperator:
         _, inverse, _, b = self.fft_pair
         return inverse(full, axis=0) * b
 
-    def atoms(self, indices: np.ndarray) -> np.ndarray:
-        """Columns of A (measurement vectors of unit spikes), shape (p, len(indices))."""
-        rows = np.flatnonzero(self.row_mask)[:, None]
-        sign = -1.0 if self.direction == FORWARD else 1.0
-        return np.exp(sign * 2j * np.pi * rows * np.asarray(indices)[None, :] / self.n) / np.sqrt(
-            self.n
-        )
+
+def check_integer(name: str, value, least: int, error: type[CasenseError]) -> None:
+    """Raise error unless value is an integer (a bool is not) >= least."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise error(f"{name} {value!r} must be an integer >= {least}")
 
 
 def check_solver_knobs(max_iters, **nonnegative) -> None:
@@ -101,8 +100,7 @@ def check_solver_knobs(max_iters, **nonnegative) -> None:
         bad = [v for v in np.ravel(value) if not (math.isfinite(v) and v >= 0)]
         if bad:
             raise InvalidSolverOptions(f"{name} {bad[0]} must be finite and nonnegative")
-    if isinstance(max_iters, bool) or not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
-        raise InvalidSolverOptions(f"max_iters {max_iters!r} must be an integer >= 1")
+    check_integer("max_iters", max_iters, 1, InvalidSolverOptions)
 
 
 @dataclass
@@ -119,6 +117,8 @@ class LassoProblem:
             raise DimensionMismatch(
                 f"observations must have shape ({self.operator.n_measurements},)"
             )
+        if not np.isfinite(d).all():
+            raise InvalidConfig("observations hold NaN or inf values")
         check_solver_knobs(self.max_iters, lam=self.lam, tol=self.tol)
         self.observations = d
 
@@ -501,18 +501,15 @@ def solve_ista(p: LassoProblem) -> RecoveryResult:
 def solve_omp(p: LassoProblem, sparsity: int) -> RecoveryResult:
     """Orthogonal matching pursuit: greedy max-correlation atom selection
     with a least-squares refit on the selected support each iteration."""
-    if sparsity < 1:
-        raise InvalidSolverOptions("sparsity must be >= 1")
+    check_integer("sparsity", sparsity, 1, InvalidSolverOptions)
     d = p.observations
     residual = d.copy()
     support: list[int] = []
-    coef = np.zeros(0, dtype=complex)
-    iterations = 0
-    for iterations in range(1, sparsity + 1):
+    for iterations in range(1, sparsity + 1):  # sparsity >= 1: coef and iterations are set
         corr = np.abs(p.operator.adjoint(residual))
         corr[support] = -1.0  # do not reselect
         support.append(int(np.argmax(corr)))
-        cols = p.operator.atoms(np.array(support))
+        cols = p.operator.apply(np.eye(p.operator.n)[:, support])  # the support's columns of A
         coef, *_ = np.linalg.lstsq(cols, d, rcond=None)
         residual = d - cols @ coef
         if np.linalg.norm(residual) < p.tol:

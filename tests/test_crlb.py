@@ -62,7 +62,6 @@ def test_crlb_report_consistency():
     assert rep.crlb_velocity == pytest.approx(0.25 * cfg.c0**2 * rep.crlb_theta, rel=1e-12)
     assert rep.rcrlb_range == pytest.approx(np.sqrt(rep.crlb_range), rel=1e-12)
     assert rep.rcrlb_velocity == pytest.approx(np.sqrt(rep.crlb_velocity), rel=1e-12)
-    assert rep.method == "oracle"
 
 
 LATTICE = [

@@ -25,9 +25,8 @@ from casense.estimators import (
     SolverOptions,
     AveragedEstimate,
     Estimate,
+    band_spectrum,
     estimate_any_scheme,
-    estimate_band_range,
-    estimate_band_velocity,
     peak_estimate,
     range_spectrum_block,
     range_spectrum_comb_cs,
@@ -235,12 +234,14 @@ def test_averaging_schemes_noiseless_quantization_bound(scheme):
 
 def test_single_band_estimates(table3):
     d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=10.0, seed=6)
-    r = estimate_band_range(d_high, table3.c0)
-    assert r.value == pytest.approx(117.1875, abs=1e-9)
+    spectrum, bins = band_spectrum(d_high, "range", table3.c0)
+    assert bins == len(spectrum.values) == table3.high.n_subcarriers  # a block band's IDFT
+    assert peak_estimate(spectrum, "range", bins).value == pytest.approx(117.1875, abs=1e-9)
     cfg4 = with_scheme(table3, Scheme.CA4)
     d_low4, d_high4 = channel_pair(cfg4, Target(117.0, 30.0), snr_db=10.0, seed=6)
-    v = estimate_band_velocity(d_high4, cfg4.c0)
-    assert v.value == pytest.approx(30.3176, abs=1e-3)
+    spectrum, bins = band_spectrum(d_high4, "velocity", cfg4.c0)
+    assert bins == len(spectrum.values) == cfg4.high.n_symbols  # a comb band's FFT
+    assert peak_estimate(spectrum, "velocity", bins).value == pytest.approx(30.3176, abs=1e-3)
 
 
 def test_block_band_velocity_search_window():
@@ -250,8 +251,10 @@ def test_block_band_velocity_search_window():
     target = Target(50.0, 30.0)
     tx = generate_tx_grid(cfg.high, seed=8)
     d = simulate_channel_info(tx, TargetScene((target,), 0.0), c0=C0)
-    est = estimate_band_velocity(d, cfg.c0)
-    assert est.peak_bin < cfg.high.n_symbols // cfg.high.pilot.interval
+    spectrum, bins = band_spectrum(d, "velocity", cfg.c0)
+    assert bins == cfg.high.n_symbols // cfg.high.pilot.interval
+    est = peak_estimate(spectrum, "velocity", bins)
+    assert est.peak_bin < bins
     assert est.value == pytest.approx(30.3176, abs=1e-3)
 
 
@@ -354,10 +357,12 @@ NAN = float("nan")
         (lambda op: fista_iterations(op, np.ones(4, complex), -1.0, 5, 1e-6), InvalidSolverOptions),
         (lambda op: CrlbInputs(make_table3_config(), h=NAN), InvalidTarget),
         (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, NAN, 0.2]), 1.0), 1), NonFiniteSpectrum),
+        (lambda op: LassoProblem(op, np.array([1, NAN, 1, 1], complex), lam=0.1), InvalidConfig),
+        (lambda op: LassoProblem(op, np.array([1, 1, np.inf, 1], complex), lam=0.1), InvalidConfig),
     ],
     ids=["lasso-lam-nan", "lasso-lam-inf", "lasso-tol-nan", "fista-max-iters-2.5", "fista-tol-nan",
          "fista-column-lam-nan", "fista-column-lam-inf", "fista-lam-negative", "crlb-h-nan",
-         "top-k-peaks-nan"],
+         "top-k-peaks-nan", "lasso-observations-nan", "lasso-observations-inf"],
 )
 def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
@@ -382,10 +387,23 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
         (lambda op: solve_omp(LassoProblem(op, np.ones(4, complex), lam=0.1), 0),
          InvalidSolverOptions),
         (lambda op: sigma_for_snr(10.0, 0.0), InvalidTarget),
+        (lambda op: SensingOperator(n=4.0, direction=INVERSE, row_mask=np.ones(4, bool)),
+         InvalidConfig),
+        (lambda op: SensingOperator(n=True, direction=INVERSE, row_mask=np.ones(1, bool)),
+         InvalidConfig),
+        (lambda op: solve_omp(LassoProblem(op, np.ones(4, complex), lam=0.1), 2.5),
+         InvalidSolverOptions),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 2.5), InvalidSolverOptions),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 1, guard=0.5),
+         InvalidSolverOptions),
+        (lambda op: band_spectrum(ChannelInfoMatrix(np.zeros((512, 64), complex),
+                                                    make_table3_config().high), "doppler", C0),
+         InvalidConfig),
     ],
     ids=["crlb-sweep-empty-snr", "crlb-sweep-empty-spacings", "range-selection-empty",
          "operator-direction", "operator-empty-mask", "top-k-peaks-k", "top-k-peaks-guard",
-         "omp-sparsity", "sigma-for-snr-zero-gain"],
+         "omp-sparsity", "sigma-for-snr-zero-gain", "operator-n-float", "operator-n-bool",
+         "omp-sparsity-2.5", "top-k-peaks-k-2.5", "top-k-peaks-guard-0.5", "band-spectrum-kind"],
 )
 def test_bad_arguments_raise_a_casense_error_that_is_a_value_error(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))

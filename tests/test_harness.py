@@ -259,6 +259,7 @@ def test_high_band_baseline_rows_pinned_and_simulates_only_the_high_bands(table3
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(casense.harness, "simulate_channel_info", counted)
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 1)  # a helper's calls are not counted here
     rows = run_high_band_baseline(
         _baseline_spec(table3, snr_grid=(-32.0, -28.0), trials=3, master_seed=5)
     )
@@ -357,6 +358,19 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatc
         csvs.append((tmp_path / f"{cpus}.csv").read_bytes())
     assert rows[1] == rows[0] and rows[2] == rows[0]
     assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_baseline_rows_do_not_depend_on_the_cpu_count(table3, monkeypatch):
+    # 5 trials: with 2 CPUs two chunks of 2 and one trial left, with 3 CPUs three of 1 and 2 left
+    spec = _baseline_spec(
+        table3, target=Target(117.3, 31.0), snr_grid=(-28.0, 10.0), trials=5, master_seed=6
+    )
+    rows = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(recovery, "_cpu_count", lambda: cpus)
+        rows.append(run_high_band_baseline(spec))
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+    assert rows[0][0]["rmse_range_high_block"] > rows[0][1]["rmse_range_high_block"]  # -28 dB misses
 
 
 class CountedHelper(recovery._Helper):

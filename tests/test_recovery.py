@@ -42,16 +42,6 @@ def full_mask(n):
     return np.ones(n, dtype=bool)
 
 
-def dense_matrix(op: SensingOperator) -> np.ndarray:
-    """Explicit matrix of the operator, column by column (oracle)."""
-    cols = []
-    for j in range(op.n):
-        e = np.zeros(op.n, complex)
-        e[j] = 1.0
-        cols.append(op.apply(e))
-    return np.stack(cols, axis=1)
-
-
 def test_build_velocity_selection():
     assert build_velocity_selection(2, 4).tolist() == [True, False, True, False]
     mask = build_velocity_selection(4, 64)
@@ -107,16 +97,6 @@ def test_full_mask_unitary(direction):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert abs(np.linalg.norm(op.apply(x)) - np.linalg.norm(x)) < 1e-10
-
-
-def test_atoms_match_apply():
-    n = 24
-    mask = build_velocity_selection(4, n)
-    for direction in (FORWARD, INVERSE):
-        op = SensingOperator(n=n, direction=direction, row_mask=mask)
-        dense = dense_matrix(op)
-        idx = np.array([0, 5, 17])
-        assert np.allclose(op.atoms(idx), dense[:, idx], atol=1e-12)
 
 
 CO_ISOMETRY_MASKS = {
