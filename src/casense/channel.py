@@ -12,13 +12,16 @@ channel information matrix. Its pilot positions are those of its band,
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BandConfig
-from .errors import EmptyScene, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning
+from .errors import (
+    EmptyScene, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning, check_kind, check_real,
+)
 from .grids import TxGrid, pilot_index_sets, pilot_slices
 
 
@@ -31,12 +34,10 @@ class Target:
     gain: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if not (np.isfinite(self.range_m) and self.range_m >= 0):
-            raise InvalidTarget(f"range {self.range_m} m must be finite and nonnegative")
-        if not np.isfinite(self.velocity_mps):
-            raise InvalidTarget(f"velocity {self.velocity_mps} m/s must be finite")
-        if self.gain == 0 or not np.isfinite(self.gain):
-            raise InvalidTarget(f"gain {self.gain} must be finite and nonzero")
+        check_real("range", self.range_m, InvalidTarget, "nonnegative")
+        check_real("velocity", self.velocity_mps, InvalidTarget)
+        check_kind("gain", self.gain, numbers.Complex, InvalidTarget)
+        check_real("gain magnitude", abs(self.gain), InvalidTarget, "positive")
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ class TargetScene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidNoiseLevel(f"noise_sigma {self.noise_sigma} must be finite and nonnegative")
+        check_real("noise_sigma", self.noise_sigma, InvalidNoiseLevel, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,9 @@ def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     underflows, gives 0, the noiseless limit. Raises InvalidNoiseLevel when
     sigma is not finite: a NaN SNR, or one so low that sigma overflows.
     """
-    g = abs(gain)
-    if g == 0:
-        raise InvalidTarget("gain must be nonzero")
+    check_real("gain magnitude", abs(gain), InvalidTarget, "positive")
     try:
-        sigma = g * 10.0 ** (-snr_db / 20.0)
+        sigma = abs(gain) * 10.0 ** (-snr_db / 20.0)
     except OverflowError:
         sigma = math.inf
     if not sigma < math.inf:

@@ -11,17 +11,12 @@ range and velocity spectra bin-exact.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import (
-    InvalidConfig,
-    NonIntegerSpacingRatio,
-    PilotIntervalDoesNotDivide,
-    SchemeMismatch,
-    VelocityFusionConstraintViolated,
+    InvalidConfig, NonIntegerSpacingRatio, PilotIntervalDoesNotDivide, SchemeMismatch,
+    VelocityFusionConstraintViolated, check_integer, check_kind, check_real,
 )
 
 C0_EXACT = 299_792_458.0  # speed of light, m/s
@@ -95,44 +90,24 @@ class BandConfig:
     pilot: PilotPattern
 
     def __post_init__(self):
-        for name, value in (
-            ("n_subcarriers", self.n_subcarriers),
-            ("n_symbols", self.n_symbols),
-            ("pilot interval", self.pilot.interval),
-        ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfig(f"{name} {value!r} must be an integer")
-        if self.n_subcarriers < 2 or self.n_symbols < 2:
-            raise InvalidConfig("need at least 2 subcarriers and 2 symbols")
+        check_kind("pilot", self.pilot, PilotPattern, InvalidConfig)
+        for name in ("n_subcarriers", "n_symbols"):
+            check_integer(name, getattr(self, name), 2, InvalidConfig)
+        check_integer("pilot interval", self.pilot.interval, 1, PilotIntervalDoesNotDivide)
         if self.n_subcarriers * self.n_symbols > MAX_BAND_CELLS:
             raise InvalidConfig(f"n_subcarriers * n_symbols is over {MAX_BAND_CELLS} per band")
         for name in ("fc", "delta_f"):
-            _require_finite(name, getattr(self, name))
-        _require_finite("t_cp", self.t_cp, positive=False)
-        if self.pilot.interval < 1:
-            raise PilotIntervalDoesNotDivide(
-                f"pilot interval must be >= 1, got {self.pilot.interval}"
-            )
-        if isinstance(self.pilot, Comb) and self.n_subcarriers % self.pilot.interval:
-            raise PilotIntervalDoesNotDivide(
-                f"comb interval {self.pilot.interval} does not divide N={self.n_subcarriers}"
-            )
-        if isinstance(self.pilot, Block) and self.n_symbols % self.pilot.interval:
-            raise PilotIntervalDoesNotDivide(
-                f"block interval {self.pilot.interval} does not divide M={self.n_symbols}"
-            )
+            check_real(name, getattr(self, name), InvalidConfig, "positive")
+        check_real("t_cp", self.t_cp, InvalidConfig, "nonnegative")
+        comb = isinstance(self.pilot, Comb)
+        axis, size = ("N", self.n_subcarriers) if comb else ("M", self.n_symbols)
+        if size % self.pilot.interval:
+            raise PilotIntervalDoesNotDivide(f"{self.pilot} does not divide {axis}={size}")
 
     @property
     def symbol_duration(self) -> float:
         """Total OFDM symbol duration T = 1/delta_f + t_cp (s)."""
         return 1.0 / self.delta_f + self.t_cp
-
-
-def _require_finite(name: str, value: float, positive: bool = True) -> None:
-    """Raise InvalidConfig unless value is finite and positive (or nonnegative)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise InvalidConfig(f"{name} {value} must be finite and {kind}")
 
 
 def range_bin_width(c0: float, delta_f: float, n_subcarriers: int) -> float:
@@ -171,7 +146,9 @@ class CaConfig:
     c0: float = C0_EXACT
 
     def __post_init__(self):
-        _require_finite("c0", self.c0)
+        for name, kind in (("low", BandConfig), ("high", BandConfig), ("scheme", Scheme)):
+            check_kind(name, getattr(self, name), kind, InvalidConfig)
+        check_real("c0", self.c0, InvalidConfig, "positive")
         ratio = self.high.delta_f / self.low.delta_f
         k = round(ratio)
         if k < 1 or abs(ratio - k) > _REL_TOL * ratio:

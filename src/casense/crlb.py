@@ -19,14 +19,16 @@ the total complex standard deviation, so sigma = noise_sigma / sqrt(2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import sigma_for_snr
 from .config import CaConfig, BandConfig, Scheme, with_high_band_spacing
-from .errors import InvalidConfig, InvalidNoiseLevel, InvalidTarget, SingularFisher, UnsupportedScheme
+from .errors import (
+    InvalidConfig, InvalidNoiseLevel, InvalidTarget, SingularFisher, UnsupportedScheme,
+    check_kind, check_real,
+)
 from .grids import pilot_index_sets
 
 TWO_PI = 2.0 * np.pi
@@ -41,10 +43,9 @@ class CrlbInputs:
     sigma: float = 1.0  # per-component noise std
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise InvalidTarget(f"gain h {self.h} must be finite and positive")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidNoiseLevel(f"sigma {self.sigma} must be finite and positive for a bound")
+        check_kind("cfg", self.cfg, CaConfig, InvalidConfig)
+        check_real("gain h", self.h, InvalidTarget, "positive")
+        check_real("sigma", self.sigma, InvalidNoiseLevel, "positive")
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,7 @@ def crlb_sweep(
         raise InvalidConfig("delta_f grid must be nonempty")
     rows = []
     for df2 in spacings:
+        check_real("delta_f", df2, InvalidConfig, "positive")
         scaled = cfg if df2 == cfg.high.delta_f else with_high_band_spacing(cfg, df2)
         for snr_db in snr_db_grid:
             report = crlb_report_for_snr(scaled, snr_db, method=method)

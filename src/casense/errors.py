@@ -1,4 +1,10 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and one checking rule per kind of value."""
+
+import math
+import numbers
+import typing
+
+import numpy as np
 
 
 class CasenseError(Exception):
@@ -11,10 +17,6 @@ class NonIntegerSpacingRatio(CasenseError):
 
 class VelocityFusionConstraintViolated(CasenseError):
     """T_low * fc_low != T_high * fc_high; cross-band Doppler bins cannot align."""
-
-
-class PilotIntervalDoesNotDivide(CasenseError):
-    """Comb interval must divide N, block interval must divide M."""
 
 
 class SchemeMismatch(CasenseError):
@@ -41,6 +43,10 @@ class InvalidConfig(CasenseError, ValueError):
     """Band or aggregation parameter is non-finite, out of range, or too small a grid."""
 
 
+class PilotIntervalDoesNotDivide(InvalidConfig):
+    """Pilot interval is not an integer >= 1, or does not divide N (comb) or M (block)."""
+
+
 class InvalidSnrGrid(CasenseError, ValueError):
     """SNR grid text is malformed, non-finite, empty, or longer than the cap."""
 
@@ -58,8 +64,36 @@ class InvalidNoiseLevel(CasenseError, ValueError):
 
 
 class NonFiniteSpectrum(CasenseError, ValueError):
-    """Spectrum holds NaN or inf, so it has no meaningful peak."""
+    """Spectrum is empty or holds NaN or inf, so it has no meaningful peak."""
 
 
 class VelocityAmbiguityWarning(UserWarning):
     """Target velocity exceeds the unambiguous Doppler span of a band."""
+
+
+def check_integer(name: str, value, least: int, error: type[CasenseError]) -> None:
+    """Raise error unless value is an integer (a bool is not) >= least."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise error(f"{name} {value!r} must be an integer >= {least}")
+
+
+def check_real(name: str, value, error: type[CasenseError], sign: str = "") -> None:
+    """Raise error unless value is a finite real number (a bool is not), > 0 for sign "positive"
+    and >= 0 for "nonnegative"; each entry of a numpy array must be one."""
+    for v in value.flat if isinstance(value, np.ndarray) else (value,):
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        if not real or (sign == "positive" and v <= 0) or (sign == "nonnegative" and v < 0):
+            raise error(f"{name} {v} must be a finite {sign + ' ' if sign else ''}real number")
+
+
+def check_finite(name: str, array: np.ndarray, error: type[CasenseError]) -> None:
+    """Raise error unless the numeric array is nonempty and holds only finite values."""
+    if not (array.size and np.isfinite(array).all()):
+        raise error(f"{name} must be a nonempty array of finite values")
+
+
+def check_kind(name: str, value, kind, error: type[CasenseError]) -> None:
+    """Raise error unless value is a kind (a type or a union of types); a bool is only a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        names = " or ".join(k.__name__ for k in typing.get_args(kind) or (kind,))
+        raise error(f"{name} {value!r} must be {names}, not {type(value).__name__}")

@@ -28,12 +28,14 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, velocity_bin_width
-from .errors import InvalidConfig, InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch
+from .errors import (
+    InvalidConfig, InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch, check_finite,
+    check_integer,
+)
 from .fusion import build_range_selection, rearrange_low_band
-from .grids import pilot_slices
+from .grids import pilot_slices, require_pilot
 from .recovery import (
-    FORWARD, SensingOperator, check_integer, check_solver_knobs, fista_iterations, lasso_lambda,
-    soft_threshold,
+    FORWARD, SensingOperator, check_solver_knobs, fista_iterations, lasso_lambda, soft_threshold,
 )
 
 
@@ -83,8 +85,9 @@ class AveragedEstimate:
 def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = None) -> Estimate:
     """Normalize, search the (optionally restricted) window, map bin to physical."""
     values = spectrum.values
-    if not np.isfinite(values).all():
-        raise NonFiniteSpectrum(f"{kind} spectrum holds NaN or inf values")
+    check_finite(f"{kind} spectrum", values, NonFiniteSpectrum)
+    if search_bins is not None:
+        check_integer("search_bins", search_bins, 1, InvalidSolverOptions)
     peak = float(values.max())
     norm = PowerSpectrum(values / peak if peak > 0 else values.copy(), spectrum.bin_width)
     b = int(np.argmax(norm.values[:search_bins]))  # [:None] is the whole spectrum
@@ -95,8 +98,7 @@ def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[i
     """Greedy maxima with +-guard exclusion zones, descending by value."""
     check_integer("k", k, 1, InvalidSolverOptions)
     check_integer("guard", guard, 0, InvalidSolverOptions)
-    if not np.isfinite(spectrum.values).all():
-        raise NonFiniteSpectrum("spectrum holds NaN or inf values")
+    check_finite("spectrum", spectrum.values, NonFiniteSpectrum)
     work = spectrum.values.astype(float).copy()
     out: list[tuple[int, float]] = []
     for _ in range(k):
@@ -118,8 +120,7 @@ def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
 
     Bins live on the band's native grid: c0 / (2 delta_f N) meters wide.
     """
-    if not isinstance(d.band.pilot, Block):
-        raise SchemeMismatch("range_spectrum_block needs a block-pilot band")
+    require_pilot(d.band, Block, "range_spectrum_block")
     n = d.band.n_subcarriers
     acc = np.abs(np.fft.ifft(d.values[pilot_slices(d.band)], axis=0) * np.sqrt(n)).sum(axis=1)
     return PowerSpectrum(acc, range_bin_width(c0, d.band.delta_f, n))
@@ -133,8 +134,7 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
     K*delta_f: bins are c0 / (2 K delta_f N) meters wide and the unambiguous
     span is the same c0 / (2 K delta_f) as the raw comb's.
     """
-    if not isinstance(d.band.pilot, Comb):
-        raise SchemeMismatch("range_spectrum_comb_cs needs a comb-pilot band")
+    require_pilot(d.band, Comb, "range_spectrum_comb_cs")
     k = d.band.pilot.interval
     n = d.band.n_subcarriers
     op = SensingOperator(n=n, direction=FORWARD, row_mask=build_range_selection(n // k, n))
@@ -146,8 +146,7 @@ def range_spectrum_comb_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOptions)
 
 def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """Sum of per-row FFT magnitudes over the pilot subcarrier rows."""
-    if not isinstance(d.band.pilot, Comb):
-        raise SchemeMismatch("velocity_spectrum_comb needs a comb-pilot band")
+    require_pilot(d.band, Comb, "velocity_spectrum_comb")
     m = d.band.n_symbols
     acc = np.abs(np.fft.fft(d.values[pilot_slices(d.band)], axis=1) / np.sqrt(m)).sum(axis=0)
     return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
@@ -170,8 +169,7 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
     every M. For power-of-two M the FFT is itself bitwise periodic, so the
     result equals the full-width computation bit for bit.
     """
-    if not isinstance(d.band.pilot, Block):
-        raise SchemeMismatch("velocity_spectrum_block_cs needs a block-pilot band")
+    require_pilot(d.band, Block, "velocity_spectrum_block_cs")
     m, q = d.band.n_symbols, d.band.pilot.interval
     period = np.fft.fft(d.values, axis=1)[:, : m // q]
     # (M/Q, N) and contiguous, so the row sum adds in the order of the (M, N) layout

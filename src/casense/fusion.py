@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Comb
-from .errors import InvalidConfig, SchemeMismatch
-from .grids import pilot_slices
+from .errors import InvalidConfig
+from .grids import pilot_slices, require_pilot
 
 
 def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
@@ -27,8 +27,7 @@ def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
     Row gathering only, no interpolation. The result is a view of
     ``d.values``, so its values are the populated ones bit for bit.
     """
-    if not isinstance(d.band.pilot, Comb):
-        raise SchemeMismatch(f"rearrange_low_band needs a comb-pilot band, got {d.band.pilot!r}")
+    require_pilot(d.band, Comb, "rearrange_low_band")
     return d.values[pilot_slices(d.band)]
 
 

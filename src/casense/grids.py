@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BandConfig, Comb
+from .errors import SchemeMismatch
 
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)  # unit-modulus corners
 
@@ -40,6 +41,12 @@ def pilot_slices(band: BandConfig) -> tuple[slice, slice]:
     if isinstance(band.pilot, Comb):
         return slice(None, None, band.pilot.interval), slice(None)
     return slice(None), slice(None, None, band.pilot.interval)
+
+
+def require_pilot(band: BandConfig, kind: type, caller: str) -> None:
+    """Raise SchemeMismatch unless band's pilot pattern is kind, naming the caller that needs it."""
+    if not isinstance(band.pilot, kind):
+        raise SchemeMismatch(f"{caller} needs a {kind.__name__.lower()}-pilot band")
 
 
 def pilot_mask(band: BandConfig) -> np.ndarray:

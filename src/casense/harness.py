@@ -19,7 +19,7 @@ from . import recovery
 from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simulate_channel_info
 from .config import CaConfig, Scheme, with_scheme
 from .crlb import crlb_report_for_snr
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_integer, check_kind
 from .estimators import (
     AveragedEstimate,
     Estimate,
@@ -50,14 +50,17 @@ class ExperimentSpec:
         if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in snr_grid):
             raise InvalidConfig(f"snr grid {snr_grid!r} must hold only real numbers")
         object.__setattr__(self, "snr_grid", tuple(float(s) for s in snr_grid))
-        recovery.check_integer("trials", self.trials, 1, InvalidConfig)
-        recovery.check_integer("master_seed", self.master_seed, 0, InvalidConfig)
+        check_integer("trials", self.trials, 1, InvalidConfig)
+        check_integer("master_seed", self.master_seed, 0, InvalidConfig)
         if not self.snr_grid:
             raise InvalidConfig("snr grid must be nonempty")
         if not self.schemes:
             raise InvalidConfig("need at least one scheme")
-        if not all(isinstance(s, Scheme) for s in self.schemes):
-            raise InvalidConfig(f"schemes {self.schemes!r} must all be Scheme members")
+        for name, kind in (("cfg", CaConfig), ("target", Target), ("solver", SolverOptions),
+                           ("random_targets", bool)):
+            check_kind(name, getattr(self, name), kind, InvalidConfig)
+        for scheme in self.schemes:
+            check_kind("schemes entry", scheme, Scheme, InvalidConfig)
         for snr_db in self.snr_grid:
             sigma_for_snr(snr_db, self.target.gain)  # NaN and -inf have no finite noise level
 
@@ -230,6 +233,7 @@ def snapshot_spectra(
     Any scheme: CA1's estimates carry the fused normalized spectra (CSV rows
     via ``spectrum_rows``), the other schemes' one spectrum per band.
     """
+    check_integer("seed", seed, 0, InvalidConfig)
     noise_sigma = sigma_for_snr(snr_db, target.gain)
     d_low, d_high = simulate_trial_matrices(cfg, target, noise_sigma, (seed, 0, 0, 0))
     return estimate_any_scheme(d_low, d_high, cfg, solver)

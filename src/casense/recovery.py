@@ -12,8 +12,6 @@ with complex (phase-preserving) soft thresholding.
 from __future__ import annotations
 
 import atexit
-import math
-import numbers
 import os
 import pickle
 import sys
@@ -23,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CasenseError, DimensionMismatch, InvalidConfig, InvalidSolverOptions
+from .errors import (
+    DimensionMismatch, InvalidConfig, InvalidSolverOptions, check_finite, check_integer, check_real,
+)
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -87,19 +87,11 @@ class SensingOperator:
         return inverse(full, axis=0) * b
 
 
-def check_integer(name: str, value, least: int, error: type[CasenseError]) -> None:
-    """Raise error unless value is an integer (a bool is not) >= least."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-        raise error(f"{name} {value!r} must be an integer >= {least}")
-
-
 def check_solver_knobs(max_iters, **nonnegative) -> None:
     """Raise InvalidSolverOptions unless every value of each keyword (a number or an
     array) is finite and >= 0 and max_iters is an int >= 1; name the first bad value."""
     for name, value in nonnegative.items():
-        bad = [v for v in np.ravel(value) if not (math.isfinite(v) and v >= 0)]
-        if bad:
-            raise InvalidSolverOptions(f"{name} {bad[0]} must be finite and nonnegative")
+        check_real(name, value, InvalidSolverOptions, "nonnegative")
     check_integer("max_iters", max_iters, 1, InvalidSolverOptions)
 
 
@@ -117,8 +109,7 @@ class LassoProblem:
             raise DimensionMismatch(
                 f"observations must have shape ({self.operator.n_measurements},)"
             )
-        if not np.isfinite(d).all():
-            raise InvalidConfig("observations hold NaN or inf values")
+        check_finite("observations", d, InvalidConfig)
         check_solver_knobs(self.max_iters, lam=self.lam, tol=self.tol)
         self.observations = d
 
@@ -141,7 +132,9 @@ def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1):
 
     A float for a 1-D d; for a 2-D d, an array holding one value per column.
     """
-    lam = lasso_lambda(op.adjoint(np.asarray(d, dtype=complex)), scale)
+    d = np.asarray(d, dtype=complex)
+    check_finite("observations", d, InvalidConfig)
+    lam = lasso_lambda(op.adjoint(d), scale)
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -190,12 +183,15 @@ def fista_iterations(
     The caller makes call 0 and allocates only for the blocks it solves; x
     does not depend on the number of blocks or on where they ran.
     """
-    check_solver_knobs(max_iters, lam=lam, tol=tol)
+    check_solver_knobs(max_iters, lam=np.asarray(lam), tol=tol)
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != op.n_measurements:
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")
+    check_finite("observations", d, InvalidConfig)
     rows = d.reshape(op.n_measurements, -1).T  # (batch, p): one column per row
     batch = rows.shape[0]
+    if np.ndim(lam) and np.shape(lam) not in ((1,), (batch,)):
+        raise DimensionMismatch(f"lam of shape {np.shape(lam)} does not fit {batch} columns")
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
     workers = _worker_count(batch)
     blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]

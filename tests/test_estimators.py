@@ -35,12 +35,13 @@ from casense.estimators import (
 )
 from casense.fusion import build_range_selection
 from casense.grids import generate_tx_grid
-from casense.harness import simulate_trial_matrices
+from casense.harness import simulate_trial_matrices, snapshot_spectra
 from casense.recovery import (
     INVERSE,
     LassoProblem,
     SensingOperator,
     certify_kkt,
+    default_lambda,
     fista_iterations,
     soft_threshold,
     solve_omp,
@@ -359,10 +360,14 @@ NAN = float("nan")
         (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, NAN, 0.2]), 1.0), 1), NonFiniteSpectrum),
         (lambda op: LassoProblem(op, np.array([1, NAN, 1, 1], complex), lam=0.1), InvalidConfig),
         (lambda op: LassoProblem(op, np.array([1, 1, np.inf, 1], complex), lam=0.1), InvalidConfig),
+        (lambda op: fista_iterations(op, np.array([1, NAN, 1, 1], complex), 0.1, 5, 1e-6),
+         InvalidConfig),
+        (lambda op: default_lambda(op, np.array([1, NAN, 1, 1], complex)), InvalidConfig),
     ],
     ids=["lasso-lam-nan", "lasso-lam-inf", "lasso-tol-nan", "fista-max-iters-2.5", "fista-tol-nan",
          "fista-column-lam-nan", "fista-column-lam-inf", "fista-lam-negative", "crlb-h-nan",
-         "top-k-peaks-nan", "lasso-observations-nan", "lasso-observations-inf"],
+         "top-k-peaks-nan", "lasso-observations-nan", "lasso-observations-inf",
+         "fista-observations-nan", "default-lambda-observations-nan"],
 )
 def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))
@@ -399,11 +404,22 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
         (lambda op: band_spectrum(ChannelInfoMatrix(np.zeros((512, 64), complex),
                                                     make_table3_config().high), "doppler", C0),
          InvalidConfig),
+        (lambda op: peak_estimate(PowerSpectrum(np.array([]), 1.0), "range"), NonFiniteSpectrum),
+        (lambda op: top_k_peaks(PowerSpectrum(np.array([]), 1.0), 1), NonFiniteSpectrum),
+        (lambda op: peak_estimate(PowerSpectrum(np.array([0.1, 0.2]), 1.0), "range", search_bins=0),
+         InvalidSolverOptions),
+        (lambda op: snapshot_spectra(make_table3_config(), Target(117.0, 30.0), 10.0, seed=-1),
+         InvalidConfig),
+        (lambda op: snapshot_spectra(make_table3_config(), Target(117.0, 30.0), 10.0, seed=1.5),
+         InvalidConfig),
+        (lambda op: crlb_sweep(make_table3_config(), [10.0], ["x"]), InvalidConfig),
     ],
     ids=["crlb-sweep-empty-snr", "crlb-sweep-empty-spacings", "range-selection-empty",
          "operator-direction", "operator-empty-mask", "top-k-peaks-k", "top-k-peaks-guard",
          "omp-sparsity", "sigma-for-snr-zero-gain", "operator-n-float", "operator-n-bool",
-         "omp-sparsity-2.5", "top-k-peaks-k-2.5", "top-k-peaks-guard-0.5", "band-spectrum-kind"],
+         "omp-sparsity-2.5", "top-k-peaks-k-2.5", "top-k-peaks-guard-0.5", "band-spectrum-kind",
+         "peak-estimate-empty", "top-k-peaks-empty", "peak-estimate-search-bins-0",
+         "snapshot-seed-negative", "snapshot-seed-1.5", "crlb-sweep-spacing-x"],
 )
 def test_bad_arguments_raise_a_casense_error_that_is_a_value_error(build, error):
     op = SensingOperator(n=16, direction=INVERSE, row_mask=build_velocity_selection(4, 16))

@@ -294,7 +294,7 @@ def test_experiment_spec_validation(table3):
             ExperimentSpec(table3, (Scheme.CA1,), Target(1.0, 1.0), snr_grid=(0.0,), master_seed=seed)
     with pytest.raises(InvalidConfig):
         ExperimentSpec(table3, (), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
-    with pytest.raises(InvalidConfig, match="must all be Scheme members"):
+    with pytest.raises(InvalidConfig, match="schemes entry 'CA1' must be Scheme, not str"):
         ExperimentSpec(table3, ("CA1",), Target(1.0, 1.0), snr_grid=(0.0,), trials=1)
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(InvalidNoiseLevel):

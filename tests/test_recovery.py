@@ -126,6 +126,14 @@ def test_dimension_mismatch():
         LassoProblem(op, np.zeros(n + 1, complex), lam=0.1)
 
 
+@pytest.mark.parametrize("lam", [[0.1, 0.2], np.full(4, 0.1), np.full((3, 1), 0.1)],
+                         ids=["2-of-3", "4-of-3", "column"])
+def test_fista_lam_of_another_length_than_the_batch_is_a_dimension_mismatch(lam):
+    op = SensingOperator(n=8, direction=FORWARD, row_mask=full_mask(8))
+    with pytest.raises(DimensionMismatch, match="does not fit 3 columns"):
+        fista_iterations(op, np.ones((8, 3), complex), lam, 5, 1e-6)
+
+
 def test_fista_zero_lambda_full_mask_recovers_exactly():
     n = 32
     op = SensingOperator(n=n, direction=FORWARD, row_mask=full_mask(n))
