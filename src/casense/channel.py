@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import BandConfig
 from .errors import (
-    EmptyScene, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning, check_kind, check_real,
+    EmptyScene, InvalidConfig, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning,
+    check_kind, check_real, check_seed,
 )
 from .grids import TxGrid, pilot_index_sets, pilot_slices
 
@@ -42,8 +43,8 @@ class Target:
 
 @dataclass(frozen=True)
 class TargetScene:
-    """Targets plus per-sample complex noise level and the noise's seed: whatever
-    np.random.default_rng takes, such as an int >= 0, a tuple of them or a SeedSequence."""
+    """Targets plus per-sample complex noise level and the noise's seed: an int >= 0, a
+    tuple of them, a SeedSequence, or None for fresh entropy."""
 
     targets: tuple[Target, ...]
     noise_sigma: float = 0.0
@@ -51,7 +52,10 @@ class TargetScene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        for target in self.targets:
+            check_kind("targets entry", target, Target, InvalidTarget)
         check_real("noise_sigma", self.noise_sigma, InvalidNoiseLevel, "nonnegative")
+        check_seed("seed", self.seed, InvalidConfig)
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,12 @@ def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     sigma is the total standard deviation of the circular complex noise
     (E|w|^2 = sigma^2). An SNR of +inf, or one so high that sigma
     underflows, gives 0, the noiseless limit. Raises InvalidNoiseLevel when
-    sigma is not finite: a NaN SNR, or one so low that sigma overflows.
+    the SNR is not a real number or sigma is not finite: a NaN SNR, or one so
+    low that sigma overflows; InvalidTarget when the gain is not a nonzero number.
     """
+    check_kind("gain", gain, numbers.Complex, InvalidTarget)
     check_real("gain magnitude", abs(gain), InvalidTarget, "positive")
+    check_kind("snr", snr_db, numbers.Real, InvalidNoiseLevel)
     try:
         sigma = abs(gain) * 10.0 ** (-snr_db / 20.0)
     except OverflowError:

@@ -19,6 +19,7 @@ the total complex standard deviation, so sigma = noise_sigma / sqrt(2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,8 @@ def crlb_sweep(
     snr_db_grid = list(snr_db_grid)
     if not snr_db_grid:
         raise InvalidConfig("snr grid must be nonempty")
+    for snr_db in snr_db_grid:
+        check_kind("snr grid entry", snr_db, numbers.Real, InvalidConfig)
     spacings = [cfg.high.delta_f] if delta_f_high_grid is None else list(delta_f_high_grid)
     if not spacings:
         raise InvalidConfig("delta_f grid must be nonempty")

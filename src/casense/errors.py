@@ -78,12 +78,19 @@ def check_integer(name: str, value, least: int, error: type[CasenseError]) -> No
 
 
 def check_real(name: str, value, error: type[CasenseError], sign: str = "") -> None:
-    """Raise error unless value is a finite real number (a bool is not), > 0 for sign "positive"
-    and >= 0 for "nonnegative"; each entry of a numpy array must be one."""
-    for v in value.flat if isinstance(value, np.ndarray) else (value,):
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        if not real or (sign == "positive" and v <= 0) or (sign == "nonnegative" and v < 0):
-            raise error(f"{name} {v} must be a finite {sign + ' ' if sign else ''}real number")
+    """Raise error unless value is one finite real number (a bool or an array is not), > 0 for
+    sign "positive" and >= 0 for "nonnegative"."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not real or (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
+        raise error(f"{name} {value} must be a finite {sign + ' ' if sign else ''}real number")
+
+
+def check_seed(name: str, value, error: type[CasenseError]) -> None:
+    """Raise error unless value seeds np.random.default_rng: an integer >= 0, a tuple of them,
+    a SeedSequence, or None for fresh entropy."""
+    if value is not None and not isinstance(value, np.random.SeedSequence):
+        for part in value if isinstance(value, tuple) else (value,):
+            check_integer(name, part, 0, error)
 
 
 def check_finite(name: str, array: np.ndarray, error: type[CasenseError]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BandConfig, Comb
-from .errors import SchemeMismatch
+from .errors import InvalidConfig, SchemeMismatch, check_seed
 
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)  # unit-modulus corners
 
@@ -69,9 +69,10 @@ def pilot_index_sets(band: BandConfig) -> tuple[np.ndarray, np.ndarray]:
 def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
     """Fill pilot positions with uniformly random QPSK symbols.
 
-    Deterministic per seed: the draws fill the pilots in row-major order.
-    Off-pilot positions are exactly zero.
+    Deterministic per seed (see errors.check_seed): the draws fill the pilots
+    in row-major order. Off-pilot positions are exactly zero.
     """
+    check_seed("seed", seed, InvalidConfig)
     rng = np.random.default_rng(seed)
     pilots = pilot_slices(band)
     symbols = np.zeros((band.n_subcarriers, band.n_symbols), dtype=complex)

@@ -124,19 +124,16 @@ def _points(spec: ExperimentSpec, trial_errors, *context):
 
     trial_errors(spec, *context, snr_idx, noise_sigma, lo, hi) returns the
     squared (range, velocity) errors of the point's trials lo..hi-1, in order.
-    With W CPUs and T >= W trials, a point's first W * (T // W) trials run as
-    W contiguous chunks on the helper pool, chunk 0 in this thread, then the
-    T mod W left run here. With T < W all trials run here.
+    A point's trials are split as recovery._split splits work, one contiguous
+    part per CPU, and the parts are one recovery._map: part 0 runs in this
+    thread, each other part on the helper pool.
     """
-    cpus = recovery._cpu_count()
-    chunks = cpus if spec.trials >= cpus else 1
-    size = spec.trials // chunks
+    parts = recovery._split(spec.trials, 1)
     for snr_idx, snr_db in enumerate(spec.snr_grid):
         noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
         args = (spec, *context, snr_idx, noise_sigma)
-        calls = [(trial_errors, (*args, k * size, (k + 1) * size)) for k in range(chunks)]
-        errors = [e for chunk in recovery._map(calls) for e in chunk]
-        errors += trial_errors(*args, chunks * size, spec.trials)
+        calls = [(trial_errors, (*args, lo, hi)) for lo, hi in parts]
+        errors = [e for part in recovery._map(calls) for e in part]
         # accumulate adds in trial order, one by one, as a serial loop would
         rmse_r, rmse_v = np.sqrt(np.add.accumulate(errors, axis=0)[-1] / spec.trials).tolist()
         yield snr_db, noise_sigma, rmse_r, rmse_v

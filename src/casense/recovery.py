@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, InvalidConfig, InvalidSolverOptions, check_finite, check_integer, check_real,
+    DimensionMismatch, InvalidConfig, InvalidSolverOptions, check_finite, check_integer, check_kind,
+    check_real,
 )
 
 FORWARD = "forward"
@@ -46,7 +47,8 @@ class SensingOperator:
         check_integer("n", self.n, 1, InvalidConfig)
         if self.direction not in (FORWARD, INVERSE):
             raise InvalidConfig(f"direction must be {FORWARD!r} or {INVERSE!r}")
-        mask = np.asarray(self.row_mask, dtype=bool)
+        mask = np.asarray(self.row_mask)
+        check_kind("row_mask dtype", mask.dtype, np.dtypes.BoolDType, InvalidConfig)
         if mask.shape != (self.n,):
             raise DimensionMismatch(f"row_mask must have shape ({self.n},)")
         if not mask.any():
@@ -88,8 +90,8 @@ class SensingOperator:
 
 
 def check_solver_knobs(max_iters, **nonnegative) -> None:
-    """Raise InvalidSolverOptions unless every value of each keyword (a number or an
-    array) is finite and >= 0 and max_iters is an int >= 1; name the first bad value."""
+    """Raise InvalidSolverOptions unless each keyword's value is one finite real >= 0 and
+    max_iters is an int >= 1; name the first bad value."""
     for name, value in nonnegative.items():
         check_real(name, value, InvalidSolverOptions, "nonnegative")
     check_integer("max_iters", max_iters, 1, InvalidSolverOptions)
@@ -175,15 +177,17 @@ def fista_iterations(
     whatever else is in the batch. Returns (x, iterations), iterations
     being the largest count any column ran.
 
-    The columns are split into contiguous blocks: one per CPU this process
-    may run on, each of at least 16 columns (so a batch under 32 columns is
-    one block). Each block is one _solve_block call, which allocates buffers
-    for that block only, made through _map: one helper pool, whose helpers
-    also run run_sweep's trials when a point has T >= W trials for W CPUs.
-    The caller makes call 0 and allocates only for the blocks it solves; x
-    does not depend on the number of blocks or on where they ran.
+    The columns are split by the one split rule, _split(batch, 16): one block
+    per CPU, each of at least 16 columns (a batch under 32 columns is one
+    block). Each block is one _solve_block call, which allocates buffers for
+    that block only, made through _map, the one pool run_sweep's trials also
+    use; a solve inside a map's call (a sweep's part) finds the pool lock
+    taken and runs every block here. The caller makes call 0 and allocates
+    only for the blocks it solves; x does not depend on where blocks ran.
     """
-    check_solver_knobs(max_iters, lam=np.asarray(lam), tol=tol)
+    check_solver_knobs(max_iters, tol=tol)
+    for value in np.ravel(lam):  # one lam for every column, or one per column
+        check_real("lam", value, InvalidSolverOptions, "nonnegative")
     d = np.asarray(d, dtype=complex)
     if d.shape[0] != op.n_measurements:
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")
@@ -193,8 +197,7 @@ def fista_iterations(
     if np.ndim(lam) and np.shape(lam) not in ((1,), (batch,)):
         raise DimensionMismatch(f"lam of shape {np.shape(lam)} does not fit {batch} columns")
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (batch,))
-    workers = _worker_count(batch)
-    blocks = [(k * batch // workers, (k + 1) * batch // workers) for k in range(workers)]
+    blocks = _split(batch, 16)
     args = (max_iters, tol, momentum)
     replies = _map([(_solve_block, (op, rows[lo:hi], lam[lo:hi], *args)) for lo, hi in blocks])
     x = np.concatenate([block for block, _ in replies], axis=1)
@@ -204,19 +207,26 @@ def fista_iterations(
 def _map(calls):
     """[fn(*args) for fn, args in calls], in call order; fn is pickled by module and name.
 
-    Call 0 runs here, each other call in a helper process, forked by the first
-    map that needs it and kept. A call runs here instead if its helper is busy
-    (another caller's or an outer map's), cannot start (no fork, a daemonic
-    process, or inside a helper), died, or raised (a helper exits on errors).
+    The map that takes the pool lock makes call 0 here and sends each other
+    call to a helper process, forked by the first map that needs it and
+    kept. A map that finds the lock taken (by another caller, or by an outer
+    map whose call this is) makes every call here. A call also runs here if
+    its helper cannot start (no fork, a daemonic process, or inside a
+    helper), died, or raised (a helper exits on errors).
     """
-    sent = {k: h for k, h in enumerate(_helpers_for(len(calls) - 1), 1) if h.send(*calls[k])}
-    replies = {}
+    if not _pool.acquire(blocking=False):
+        return [fn(*args) for fn, args in calls]
     try:
-        for k, (fn, args) in enumerate(calls):
-            if k not in sent:
-                replies[k] = (fn(*args),)
+        sent = {k: h for k, h in enumerate(_helpers_for(len(calls) - 1), 1) if h.send(*calls[k])}
+        replies = {}
+        try:
+            for k, (fn, args) in enumerate(calls):
+                if k not in sent:
+                    replies[k] = (fn(*args),)
+        finally:
+            replies.update((k, helper.receive()) for k, helper in sent.items())
     finally:
-        replies.update((k, helper.receive()) for k, helper in sent.items())
+        _pool.release()
     return [(replies[k] or (fn(*args),))[0] for k, (fn, args) in enumerate(calls)]
 
 
@@ -308,45 +318,53 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _worker_count(batch: int) -> int:
-    """Column blocks for a batch: one per CPU this process may run on, each of >= 16 columns."""
-    return max(1, min(_cpu_count(), batch // 16))
+def _split(count: int, least: int) -> list[tuple[int, int]]:
+    """Contiguous parts (lo, hi) of range(count): one per CPU this process may run on,
+    each of >= least items, and at least one part."""
+    parts = max(1, min(_cpu_count(), count // least))
+    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 class _Helper:
-    """A forked process that runs the calls sent to it over a pipe.
+    """A forked process that runs the calls sent to it over a pipe, used under _pool.
 
-    It serves one caller at a time, the one holding `busy`, and exits when
-    its request pipe reaches end of file: when the parent closes it or dies.
+    It exits when its request pipe reaches end of file (when the parent
+    closes it or dies), or when a call raises.
     """
 
     def __init__(self):
+        global _in_helper
         requests, self.requests = os.pipe()
-        self.replies, replies = os.pipe()
-        self.busy = threading.Lock()
+        replies, reply_end = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self.requests, self.replies, replies):
+            for fd in (requests, self.requests, replies, reply_end):
                 os.close(fd)
             raise
         if self.pid == 0:  # the helper, which never returns from here
-            status = 1
+            _in_helper = True
+            warnings.simplefilter("ignore")  # call 0 runs in the caller, which sees its warnings
             try:
                 os.close(self.requests)
-                os.close(self.replies)
-                status = _serve(requests, replies)
+                os.close(replies)
+                reader = os.fdopen(requests, "rb")
+                while True:
+                    try:
+                        fn, args = pickle.load(reader)
+                    except EOFError:
+                        os._exit(0)
+                    _write(reply_end, (fn(*args),))
             finally:
-                os._exit(status)
+                os._exit(1)
         os.close(requests)
-        os.close(replies)
+        os.close(reply_end)
+        self.replies = os.fdopen(replies, "rb")
 
     def send(self, *request) -> bool:
-        """Hands the helper a call if it is free; False if it is busy or has died."""
-        if not self.busy.acquire(blocking=False):
-            return False
+        """Hands the helper a call; False if it has died."""
         try:
-            _write_message(self.requests, request)
+            _write(self.requests, request)
         except OSError:  # the helper has died
             _discard(self)
             return False
@@ -356,22 +374,20 @@ class _Helper:
         return True
 
     def receive(self):
-        """(result,) of the call sent, or None if the helper died; frees the helper."""
+        """(result,) of the call sent, or None if the helper died, cutting its reply short."""
         try:
-            reply = _read_message(self.replies)
-        except (EOFError, OSError):
+            return pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError, OSError):
             _discard(self)
             return None
         except BaseException:
             _discard(self)
             raise
-        self.busy.release()
-        return reply
 
     def stop(self) -> None:
         """Closes the pipes, kills the helper if it still runs and waits for it."""
         os.close(self.requests)
-        os.close(self.replies)
+        self.replies.close()
         try:
             # a child not yet waited for keeps its pid, so the kill cannot reach another process
             if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
@@ -383,94 +399,59 @@ class _Helper:
             pass
 
 
-def _serve(requests: int, replies: int) -> int:
-    """A helper's loop: makes each call (fn, args) read from `requests`, replies (result,)."""
-    global _in_helper
-    _in_helper = True
-    warnings.simplefilter("ignore")  # call 0 runs in the caller, which sees its warnings
-    while True:
-        try:
-            fn, args = _read_message(requests)
-        except EOFError:
-            return 0
-        _write_message(replies, (fn(*args),))
-
-
-def _write_message(fd: int, message) -> None:
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
+def _write(fd: int, message) -> None:
+    """Writes message as one pickle, which marks its own end."""
+    view = memoryview(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
     while view:
         view = view[os.write(fd, view) :]
 
 
-def _read_message(fd: int):
-    """The next message on fd; EOFError if the pipe ends first."""
-    size = int.from_bytes(_read_exactly(fd, 8), "little")
-    return pickle.loads(_read_exactly(fd, size))
-
-
-def _read_exactly(fd: int, size: int) -> bytearray:
-    buf = bytearray(size)
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError
-        view = view[got:]
-    return buf
-
-
+_pool = threading.Lock()  # held by the one map that may use the helpers
 _helpers: list[_Helper] = []  # started by the first map that needs them
-_helpers_lock = threading.Lock()
 _reaper = None  # in a process that multiprocessing started: the finalizer that joins its helpers
 _in_helper = False  # set in a helper, which starts no helpers
 
 
 def _helpers_for(count: int) -> list[_Helper]:
-    """The first `count` helpers, started as needed; fewer where no more can start."""
+    """Under _pool: the first `count` helpers, started as needed; fewer where no more can start."""
     global _reaper
     process = sys.modules.get("multiprocessing.process")
     daemonic = process and process.current_process().daemon
     if count < 1 or _in_helper or daemonic or not hasattr(os, "fork"):
         return []
-    with _helpers_lock:
-        if _reaper is None and process and process.parent_process():
-            # multiprocessing ends such a process with os._exit, which skips atexit
-            util = sys.modules["multiprocessing.util"]  # loaded when multiprocessing started it
-            _reaper = util.Finalize(None, _stop_helpers, exitpriority=0)
-        try:
-            while len(_helpers) < count:
-                _helpers.append(_Helper())
-        except OSError:  # out of processes or file descriptors: those calls run here
-            pass
-        return _helpers[:count]
+    if _reaper is None and process and process.parent_process():
+        # multiprocessing ends such a process with os._exit, which skips atexit
+        util = sys.modules["multiprocessing.util"]  # loaded when multiprocessing started it
+        _reaper = util.Finalize(None, _stop_helpers, exitpriority=0)
+    try:
+        while len(_helpers) < count:
+            _helpers.append(_Helper())
+    except OSError:  # out of processes or file descriptors: those calls run here
+        pass
+    return _helpers[:count]
 
 
 def _discard(helper: _Helper) -> None:
-    """Drops a helper that died or lost its place in the protocol; the next map starts another."""
-    with _helpers_lock:
-        if helper in _helpers:
-            _helpers.remove(helper)
+    """Under _pool: drops a helper that died or lost its place in the protocol, and stops it."""
+    if helper in _helpers:
+        _helpers.remove(helper)
     helper.stop()
 
 
 @atexit.register
 def _stop_helpers() -> None:
     """Joins every helper at interpreter exit, or when a process multiprocessing started ends."""
-    with _helpers_lock:
-        helpers = _helpers[:]
-        _helpers.clear()
-    for helper in helpers:
-        helper.stop()
+    while _helpers:
+        _helpers.pop().stop()
 
 
 def _forget_helpers_after_fork() -> None:
-    """A forked child does not own the parent's helpers: it closes its copies of their pipes."""
-    global _helpers, _helpers_lock, _reaper
+    """A forked child closes its copies of the parent's helpers' pipes and takes a fresh _pool."""
+    global _helpers, _pool, _reaper
     for helper in _helpers:
         os.close(helper.requests)
-        os.close(helper.replies)
-    _helpers, _helpers_lock, _reaper = [], threading.Lock(), None
+        helper.replies.close()
+    _helpers, _pool, _reaper = [], threading.Lock(), None
 
 
 if hasattr(os, "register_at_fork"):
@@ -523,7 +504,7 @@ def _result(p: LassoProblem, x: np.ndarray, iterations: int) -> RecoveryResult:
     violation of either, zero iff x is optimal.
     """
     r = p.observations - p.operator.apply(x)
-    objective = 0.5 * np.sum(np.abs(r) ** 2) + np.asarray(p.lam) * np.sum(np.abs(x))
+    objective = 0.5 * np.sum(np.abs(r) ** 2) + p.lam * np.sum(np.abs(x))
     g = p.operator.adjoint(r)
     nz = np.abs(x) > 0
     r_zero = float(np.maximum(np.abs(g[~nz]) - p.lam, 0.0).max()) if (~nz).any() else 0.0

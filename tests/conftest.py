@@ -23,6 +23,11 @@ def pin_mismatch() -> str:
     return f"pinned under {PINNED_BUILD}; running {running}"
 
 
+def split_into(parts: int):
+    """A stand-in for recovery._split that makes `parts` contiguous parts of any count."""
+    return lambda count, least: [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+
+
 def build_velocity_selection(q: int, m: int) -> np.ndarray:
     """Periodic mask: True exactly on indices divisible by q (the block band's pilot symbols)."""
     if q < 1 or m % q:

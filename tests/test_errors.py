@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from casense import (
     BandConfig, CaConfig, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme, SensingOperator,
-    SolverOptions, Target, TargetScene, make_table3_config,
+    SolverOptions, Target, TargetScene, crlb_sweep, generate_tx_grid, make_table3_config,
+    sigma_for_snr,
 )
 from casense import errors
+from casense.recovery import fista_iterations
 from casense.errors import (
     CasenseError, InvalidConfig, InvalidNoiseLevel, InvalidSolverOptions, InvalidTarget,
     PilotIntervalDoesNotDivide,
@@ -72,7 +74,10 @@ FIELDS = [
     ("ExperimentSpec", "random_targets", "bool"),
 ]
 
-NOT_NUMBERS = st.one_of(st.text(max_size=3), st.none(), st.just(()), st.just([1.0, 2.0]))
+NOT_NUMBERS = st.one_of(
+    st.text(max_size=3), st.none(), st.just(()), st.just([1.0, 2.0]),
+    st.sampled_from([np.array(8.0), np.array([8.0])]),  # arrays of one good value
+)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -117,6 +122,18 @@ CASES = {
     "ExperimentSpec(solver=None)": (lambda: RECORDS["ExperimentSpec"](solver=None), InvalidConfig),
     "Comb(0)": (lambda: RECORDS["Comb"](0), PilotIntervalDoesNotDivide),
     "Comb(4.7)": (lambda: RECORDS["Comb"](4.7), InvalidConfig),
+    "BandConfig(fc=array)": (lambda: RECORDS["BandConfig"](fc=np.array([5.9e9])), InvalidConfig),
+    "CaConfig(c0=array)": (lambda: RECORDS["CaConfig"](c0=np.array([3e8])), InvalidConfig),
+    'sigma_for_snr(10.0, "x")': (lambda: sigma_for_snr(10.0, "x"), InvalidTarget),
+    'sigma_for_snr("x")': (lambda: sigma_for_snr("x"), InvalidNoiseLevel),
+    'crlb_sweep(cfg, ["x"])': (lambda: crlb_sweep(CFG, ["x"]), InvalidConfig),
+    "TargetScene((None,))": (lambda: TargetScene((None,)), InvalidTarget),
+    "TargetScene(seed=-1)": (lambda: RECORDS["TargetScene"](seed=-1), InvalidConfig),
+    "generate_tx_grid(band, -1)": (lambda: generate_tx_grid(CFG.low, -1), InvalidConfig),
+    "SensingOperator(row_mask=0.5)": (
+        lambda: SensingOperator(n=8, direction="forward", row_mask=np.full(8, 0.5)), InvalidConfig),
+    "LassoProblem(lam=array)": (lambda: RECORDS["LassoProblem"](lam=np.array([0.1])),
+                                InvalidSolverOptions),
 }
 
 
@@ -132,9 +149,10 @@ def test_rules_name_the_value_and_print_numbers_as_python_floats():
          "trials 1.5 must be an integer >= 1"),
         (lambda: errors.check_real("sigma", np.float64(0.0), InvalidNoiseLevel, "positive"),
          "sigma 0.0 must be a finite positive real number"),
-        (lambda: errors.check_real("lam", np.array([0.1, -1.0]), InvalidSolverOptions,
-                                   "nonnegative"),
-         "lam -1.0 must be a finite nonnegative real number"),
+        (lambda: fista_iterations(OPERATOR, np.ones((8, 2)), np.array([0.1, -1.0]), 10, 0.0),
+         "lam -1.0 must be a finite nonnegative real number"),  # per-column lam, entry by entry
+        (lambda: errors.check_real("fc", np.array([1.0]), InvalidConfig, "positive"),
+         "fc [1.] must be a finite positive real number"),
         (lambda: errors.check_real("fc", [1.0], InvalidConfig, "positive"),
          "fc [1.0] must be a finite positive real number"),
         (lambda: errors.check_finite("observations", np.array([1.0, math.nan]), InvalidConfig),

@@ -24,6 +24,7 @@ from casense.harness import (
     write_spectrum_csv,
     write_sweep_csv,
 )
+from conftest import split_into
 
 FAST = SolverOptions(max_iters=40, tol=1e-4)
 
@@ -105,7 +106,7 @@ def test_equal_seeds_give_equal_rows_across_calls(seed, snr_db):
         solver=FAST,
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "_worker_count", lambda batch: 3)
+        mp.setattr(recovery, "_split", split_into(3))
         recovery._stop_helpers()
         rows = [run_sweep(spec)]
         assert len(recovery._helpers) == 2
@@ -339,7 +340,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are for
 @pytest.mark.parametrize("random_targets", [False, True], ids=["fixed", "random"])
 @pytest.mark.parametrize("scheme", [Scheme.CA1, Scheme.CA3], ids=["CA1", "CA3"])
 def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatch, scheme, random_targets):
-    # 5 trials: with 2 CPUs two chunks of 2 and one trial left, with 3 CPUs three of 1 and 2 left
+    # 5 trials: with 2 CPUs parts of 2 and 3 trials, with 3 CPUs parts of 1, 2 and 2
     spec = ExperimentSpec(
         cfg=table3,
         schemes=(scheme,),
@@ -361,7 +362,7 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatc
 
 
 def test_baseline_rows_do_not_depend_on_the_cpu_count(table3, monkeypatch):
-    # 5 trials: with 2 CPUs two chunks of 2 and one trial left, with 3 CPUs three of 1 and 2 left
+    # 5 trials: with 2 CPUs parts of 2 and 3 trials, with 3 CPUs parts of 1, 2 and 2
     spec = _baseline_spec(
         table3, target=Target(117.3, 31.0), snr_grid=(-28.0, 10.0), trials=5, master_seed=6
     )
@@ -428,7 +429,7 @@ def test_trial_that_raises_in_a_helper_raises_as_in_one_process(table3, monkeypa
     errors = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(casense.harness, "simulate_trial_matrices", fails_on_trial_1)
-        for cpus in (1, 2):  # trial 1 runs here, then in a helper (chunk 1)
+        for cpus in (1, 2):  # trial 1 runs here, then in a helper (part 1)
             mp.setattr(recovery, "_cpu_count", lambda: cpus)
             recovery._stop_helpers()  # a helper forked from here on fails trial 1 too
             with pytest.raises(InvalidTarget) as info:
@@ -450,7 +451,7 @@ def test_trial_that_raises_in_a_helper_raises_as_in_one_process(table3, monkeypa
 
 
 def test_ambiguous_velocity_warns_in_the_caller(table3, monkeypatch):
-    # chunk 0 of the trials runs in the calling process, so its warnings reach the caller
+    # part 0 of the trials runs in the calling process, so its warnings reach the caller
     monkeypatch.setattr(recovery, "_cpu_count", lambda: 2)
     spec = ExperimentSpec(
         cfg=table3,

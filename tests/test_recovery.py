@@ -35,7 +35,7 @@ from casense.recovery import (
     solve_omp,
     soft_threshold,
 )
-from conftest import build_velocity_selection, pin_mismatch
+from conftest import build_velocity_selection, pin_mismatch, split_into
 
 
 def full_mask(n):
@@ -436,7 +436,7 @@ def test_batched_column_equals_its_single_column_solve(direction, mask_kind, mom
     # any subset of the columns, in any order, split over any number of blocks
     op, d, lam, singles = invariance_problem(direction, mask_kind, momentum)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "_worker_count", lambda batch: workers)
+        mp.setattr(recovery, "_split", split_into(workers))
         x, iterations = fista_iterations(op, d[:, columns], lam[columns], INVARIANCE_ITERS, 1e-6, momentum)
     for k, c in enumerate(columns):
         assert np.array_equal(x[:, k], singles[c][0])
@@ -465,7 +465,7 @@ def test_table3_range_solve_bytes_pinned(monkeypatch, snr_db, pin):
     columns = rearrange_low_band(d_low)
     opts = SolverOptions()
     lam = lasso_lambda(op.adjoint(columns), opts.lambda_scale)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    monkeypatch.setattr(recovery, "_split", split_into(2))
     x, iterations = fista_iterations(op, columns, lam, opts.max_iters, opts.tol)
     assert (hashlib.sha256(x.tobytes()).hexdigest(), iterations) == pin, pin_mismatch()
 
@@ -482,7 +482,7 @@ def test_blocks_never_call_through_the_fista_attribute(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(recovery, "fista_iterations", counting)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_split", split_into(3))
     x, _ = recovery.fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
     assert callers == [threading.get_ident()]
     assert np.array_equal(x, np.stack([s[0] for s in singles], axis=1))
@@ -493,7 +493,7 @@ def test_concurrent_solves_share_the_pool_without_mixing_results(monkeypatch):
     # batch into three blocks, with thread switches forced as often as possible
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
     expected = np.stack([s[0] for s in singles], axis=1)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_split", split_into(3))
     recovery._stop_helpers()
     results = [None] * 4
 
@@ -533,7 +533,7 @@ needs_fork = pytest.mark.skipif(
 @needs_fork
 def test_forked_child_solves_after_the_parent_used_the_pool(monkeypatch):
     op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    monkeypatch.setattr(recovery, "_split", split_into(2))
     recovery._stop_helpers()
     expected, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
     parent_helpers = helper_pids()
@@ -561,7 +561,7 @@ def test_forked_child_solves_after_the_parent_used_the_pool(monkeypatch):
 @needs_fork
 def test_solve_after_a_helper_was_killed_is_unchanged(monkeypatch):
     op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_split", split_into(3))
     recovery._stop_helpers()
     expected, iterations = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
     killed = helper_pids()
@@ -573,6 +573,23 @@ def test_solve_after_a_helper_was_killed_is_unchanged(monkeypatch):
         x, it = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
         assert np.array_equal(x, expected) and it == iterations
     assert len(helper_pids()) == 2 and not set(helper_pids()) & set(killed)
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="counts open fds in /proc")
+def test_stopping_the_pool_leaves_no_pipe_open(monkeypatch):
+    # through starting helpers, replacing a killed one, and stopping them all
+    op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
+    monkeypatch.setattr(recovery, "_split", split_into(3))
+    recovery._stop_helpers()
+    before = len(os.listdir("/proc/self/fd"))
+    expected, _ = fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)
+    os.kill(helper_pids()[0], signal.SIGKILL)
+    for _ in range(2):  # the first solve drops the dead helper, the second starts another
+        assert np.array_equal(fista_iterations(op, d, lam, INVARIANCE_ITERS, 1e-6)[0], expected)
+    assert len(helper_pids()) == 2
+    recovery._stop_helpers()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 SOLVE_BLOCK = recovery._solve_block
@@ -589,7 +606,7 @@ def dies_in_a_helper(*args):
 @needs_fork
 def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 3)
+    monkeypatch.setattr(recovery, "_split", split_into(3))
     monkeypatch.setattr(recovery, "_solve_block", dies_in_a_helper)
     monkeypatch.setattr(sys.modules[__name__], "CALLER_PID", os.getpid())
     recovery._stop_helpers()
@@ -605,7 +622,7 @@ def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
 def test_daemonic_child_solves_every_block_itself(monkeypatch):
     # multiprocessing terminates a daemonic process without letting it clean up
     op, d, lam, singles = invariance_problem(FORWARD, "leading", True)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    monkeypatch.setattr(recovery, "_split", split_into(2))
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam), daemon=True)
@@ -627,7 +644,7 @@ def test_daemonic_child_solves_every_block_itself(monkeypatch):
 def test_helper_of_a_multiprocessing_child_is_reaped_when_the_child_ends(monkeypatch):
     # multiprocessing ends its children with os._exit, which skips atexit
     op, d, lam, _ = invariance_problem(FORWARD, "leading", True)
-    monkeypatch.setattr(recovery, "_worker_count", lambda batch: 2)
+    monkeypatch.setattr(recovery, "_split", split_into(2))
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_solve_and_send, args=(queue, op, d, lam))
@@ -659,7 +676,7 @@ def exited(pid):
 ESTIMATE_SCRIPT = """
 import sys
 from casense import cli, recovery
-recovery._worker_count = lambda batch: 2
+recovery._split = lambda count, least: [(0, count // 2), (count // 2, count)]
 assert cli.main(["estimate", "--out", sys.argv[1], "--snr", "10"]) == 0
 print("helpers", *[helper.pid for helper in recovery._helpers], flush=True)
 if sys.argv[2] == "wait":
