@@ -43,8 +43,8 @@ class Target:
 
 @dataclass(frozen=True)
 class TargetScene:
-    """Targets plus per-sample complex noise level and the noise's seed: an int >= 0, a
-    tuple of them, a SeedSequence, or None for fresh entropy."""
+    """Targets plus per-sample complex noise level and the noise's seed: what
+    np.random.default_rng takes, bar a bool or a nested sequence (errors.check_seed)."""
 
     targets: tuple[Target, ...]
     noise_sigma: float = 0.0

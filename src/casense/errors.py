@@ -86,10 +86,13 @@ def check_real(name: str, value, error: type[CasenseError], sign: str = "") -> N
 
 
 def check_seed(name: str, value, error: type[CasenseError]) -> None:
-    """Raise error unless value seeds np.random.default_rng: an integer >= 0, a tuple of them,
-    a SeedSequence, or None for fresh entropy."""
-    if value is not None and not isinstance(value, np.random.SeedSequence):
-        for part in value if isinstance(value, tuple) else (value,):
+    """Raise error unless value is a seed np.random.default_rng takes: None for fresh entropy,
+    an integer >= 0 (a bool is not), a tuple, list or 1-d array of them, a SeedSequence, a
+    BitGenerator or a Generator. Nested sequences, which numpy also takes, are rejected."""
+    rng = np.random
+    value = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
+    if not isinstance(value, (type(None), rng.SeedSequence, rng.BitGenerator, rng.Generator)):
+        for part in value if isinstance(value, (tuple, list)) else (value,):
             check_integer(name, part, 0, error)
 
 

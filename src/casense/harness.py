@@ -124,16 +124,19 @@ def _points(spec: ExperimentSpec, trial_errors, *context):
 
     trial_errors(spec, *context, snr_idx, noise_sigma, lo, hi) returns the
     squared (range, velocity) errors of the point's trials lo..hi-1, in order.
-    A point's trials are split as recovery._split splits work, one contiguous
-    part per CPU, and the parts are one recovery._map: part 0 runs in this
-    thread, each other part on the helper pool.
+    A point's trials are split by recovery._split into whole rounds: with W
+    CPUs, W contiguous parts of T // W trials are one recovery._map (part 0
+    in this thread, each other part on the helper pool), then the T mod W
+    trials left run here, with the pool free, so their solves use the
+    helpers. With T < W all trials run that way.
     """
-    parts = recovery._split(spec.trials, 1)
+    *parts, rest = recovery._split(spec.trials, 1, whole=True)
     for snr_idx, snr_db in enumerate(spec.snr_grid):
         noise_sigma = sigma_for_snr(snr_db, spec.target.gain)
         args = (spec, *context, snr_idx, noise_sigma)
         calls = [(trial_errors, (*args, lo, hi)) for lo, hi in parts]
         errors = [e for part in recovery._map(calls) for e in part]
+        errors += trial_errors(*args, *rest)
         # accumulate adds in trial order, one by one, as a serial loop would
         rmse_r, rmse_v = np.sqrt(np.add.accumulate(errors, axis=0)[-1] / spec.trials).tolist()
         yield snr_db, noise_sigma, rmse_r, rmse_v

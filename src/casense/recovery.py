@@ -181,9 +181,10 @@ def fista_iterations(
     per CPU, each of at least 16 columns (a batch under 32 columns is one
     block). Each block is one _solve_block call, which allocates buffers for
     that block only, made through _map, the one pool run_sweep's trials also
-    use; a solve inside a map's call (a sweep's part) finds the pool lock
-    taken and runs every block here. The caller makes call 0 and allocates
-    only for the blocks it solves; x does not depend on where blocks ran.
+    use; a solve inside a call of a map of two or more (a sweep's part of a
+    round of trials) finds the pool lock taken and runs every block here.
+    The caller makes call 0 and allocates only for the blocks it solves; x
+    does not depend on where blocks ran.
     """
     check_solver_knobs(max_iters, tol=tol)
     for value in np.ravel(lam):  # one lam for every column, or one per column
@@ -207,14 +208,15 @@ def fista_iterations(
 def _map(calls):
     """[fn(*args) for fn, args in calls], in call order; fn is pickled by module and name.
 
-    The map that takes the pool lock makes call 0 here and sends each other
-    call to a helper process, forked by the first map that needs it and
-    kept. A map that finds the lock taken (by another caller, or by an outer
-    map whose call this is) makes every call here. A call also runs here if
-    its helper cannot start (no fork, a daemonic process, or inside a
-    helper), died, or raised (a helper exits on errors).
+    A map of two calls or more that takes the pool lock makes call 0 here
+    and sends each other call to a helper process, forked by the first map
+    that needs it and kept. A map that finds the lock taken (by another
+    caller, or by an outer map whose call this is), or of one call (which
+    takes no lock), makes every call here. A call also runs here if its
+    helper cannot start (no fork, a daemonic process, or inside a helper),
+    died, or raised (a helper exits on errors).
     """
-    if not _pool.acquire(blocking=False):
+    if len(calls) < 2 or not _pool.acquire(blocking=False):
         return [fn(*args) for fn, args in calls]
     try:
         sent = {k: h for k, h in enumerate(_helpers_for(len(calls) - 1), 1) if h.send(*calls[k])}
@@ -318,10 +320,16 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split(count: int, least: int) -> list[tuple[int, int]]:
+def _split(count: int, least: int, whole: bool = False) -> list[tuple[int, int]]:
     """Contiguous parts (lo, hi) of range(count): one per CPU this process may run on,
-    each of >= least items, and at least one part."""
-    parts = max(1, min(_cpu_count(), count // least))
+    each of >= least items, and at least one part. With whole, for items whose own maps use
+    every CPU: count // CPUs items per CPU (no parts if 0), then a last part of the rest."""
+    cpus = _cpu_count()
+    if whole:
+        size = count // cpus
+        rounds = [(k * size, (k + 1) * size) for k in range(cpus * (size > 0))]
+        return rounds + [(cpus * size, count)]
+    parts = max(1, min(cpus, count // least))
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
@@ -335,11 +343,11 @@ class _Helper:
     def __init__(self):
         global _in_helper
         requests, self.requests = os.pipe()
-        replies, reply_end = os.pipe()
+        self.replies, reply_end = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self.requests, replies, reply_end):
+            for fd in (requests, self.requests, self.replies, reply_end):
                 os.close(fd)
             raise
         if self.pid == 0:  # the helper, which never returns from here
@@ -347,7 +355,7 @@ class _Helper:
             warnings.simplefilter("ignore")  # call 0 runs in the caller, which sees its warnings
             try:
                 os.close(self.requests)
-                os.close(replies)
+                os.close(self.replies)
                 reader = os.fdopen(requests, "rb")
                 while True:
                     try:
@@ -359,7 +367,6 @@ class _Helper:
                 os._exit(1)
         os.close(requests)
         os.close(reply_end)
-        self.replies = os.fdopen(replies, "rb")
 
     def send(self, *request) -> bool:
         """Hands the helper a call; False if it has died."""
@@ -374,9 +381,11 @@ class _Helper:
         return True
 
     def receive(self):
-        """(result,) of the call sent, or None if the helper died, cutting its reply short."""
+        """(result,) of the call sent, or None if the helper died, cutting its reply short.
+        A reader of this reply alone: a child forked meanwhile never waits on a reader's lock."""
         try:
-            return pickle.load(self.replies)
+            with os.fdopen(self.replies, "rb", closefd=False) as reader:
+                return pickle.load(reader)
         except (EOFError, pickle.UnpicklingError, OSError):
             _discard(self)
             return None
@@ -387,7 +396,7 @@ class _Helper:
     def stop(self) -> None:
         """Closes the pipes, kills the helper if it still runs and waits for it."""
         os.close(self.requests)
-        self.replies.close()
+        os.close(self.replies)
         try:
             # a child not yet waited for keeps its pid, so the kill cannot reach another process
             if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
@@ -417,7 +426,7 @@ def _helpers_for(count: int) -> list[_Helper]:
     global _reaper
     process = sys.modules.get("multiprocessing.process")
     daemonic = process and process.current_process().daemon
-    if count < 1 or _in_helper or daemonic or not hasattr(os, "fork"):
+    if _in_helper or daemonic or not hasattr(os, "fork"):
         return []
     if _reaper is None and process and process.parent_process():
         # multiprocessing ends such a process with os._exit, which skips atexit
@@ -450,7 +459,7 @@ def _forget_helpers_after_fork() -> None:
     global _helpers, _pool, _reaper
     for helper in _helpers:
         os.close(helper.requests)
-        helper.replies.close()
+        os.close(helper.replies)
     _helpers, _pool, _reaper = [], threading.Lock(), None
 
 

@@ -25,7 +25,10 @@ def pin_mismatch() -> str:
 
 def split_into(parts: int):
     """A stand-in for recovery._split that makes `parts` contiguous parts of any count."""
-    return lambda count, least: [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+    def split(count, least, whole=False):
+        return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+
+    return split
 
 
 def build_velocity_selection(q: int, m: int) -> np.ndarray:

@@ -143,6 +143,17 @@ def test_a_value_of_the_wrong_kind_raises_the_records_error_class(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [None, 3, (1, 2), [1, 2], np.array([1, 2]), np.random.SeedSequence(1), np.random.PCG64(1),
+     np.random.default_rng(1)],
+    ids=["None", "int", "tuple", "list", "array", "SeedSequence", "BitGenerator", "Generator"],
+)
+def test_seeds_numpy_takes_are_still_taken(seed):
+    generate_tx_grid(CFG.low, seed)
+    RECORDS["TargetScene"](seed=seed)
+
+
 def test_rules_name_the_value_and_print_numbers_as_python_floats():
     cases = [
         (lambda: errors.check_integer("trials", 1.5, 1, InvalidConfig),

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -340,7 +341,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are for
 @pytest.mark.parametrize("random_targets", [False, True], ids=["fixed", "random"])
 @pytest.mark.parametrize("scheme", [Scheme.CA1, Scheme.CA3], ids=["CA1", "CA3"])
 def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatch, scheme, random_targets):
-    # 5 trials: with 2 CPUs parts of 2 and 3 trials, with 3 CPUs parts of 1, 2 and 2
+    # 5 trials: with 2 CPUs two parts of 2 and one trial left, with 3 CPUs three of 1 and 2 left
     spec = ExperimentSpec(
         cfg=table3,
         schemes=(scheme,),
@@ -362,7 +363,7 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, table3, monkeypatc
 
 
 def test_baseline_rows_do_not_depend_on_the_cpu_count(table3, monkeypatch):
-    # 5 trials: with 2 CPUs parts of 2 and 3 trials, with 3 CPUs parts of 1, 2 and 2
+    # 5 trials: with 2 CPUs two parts of 2 and one trial left, with 3 CPUs three of 1 and 2 left
     spec = _baseline_spec(
         table3, target=Target(117.3, 31.0), snr_grid=(-28.0, 10.0), trials=5, master_seed=6
     )
@@ -401,6 +402,51 @@ def test_a_hundred_trials_on_three_cpus_start_two_helpers(table3, monkeypatch):
         run_sweep(spec)
         assert len(CountedHelper.pids) == 2
         assert [helper.pid for helper in recovery._helpers] == CountedHelper.pids
+    finally:
+        recovery._stop_helpers()
+
+
+TRIAL_ERRORS = casense.harness._trial_errors
+RANGES_RUN_HERE = []  # the trial ranges the calling process ran; a helper appends to its copy
+
+
+def records_trial_ranges(spec, cfg, scheme_idx, snr_idx, noise_sigma, lo, hi):
+    # module level: a helper receives its call as a pickled reference by module and name
+    RANGES_RUN_HERE.append((lo, hi))
+    return TRIAL_ERRORS(spec, cfg, scheme_idx, snr_idx, noise_sigma, lo, hi)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "trials, cpus, here",
+    [(1, 2, [(0, 1)]), (2, 3, [(0, 2)]), (3, 2, [(0, 1), (2, 3)]), (5, 3, [(0, 1), (3, 5)])],
+)
+def test_trials_run_in_whole_rounds_and_the_rest_here_on_every_cpu(
+    table3, monkeypatch, trials, cpus, here
+):
+    # a round gives each CPU T // W trials, part 0 here; the T mod W left run here
+    # after it with the pool free, so their range solves send column blocks to
+    # cpus - 1 helpers, as a lone estimate's do
+    monkeypatch.setattr(recovery, "_Helper", CountedHelper)
+    monkeypatch.setattr(CountedHelper, "pids", [])
+    monkeypatch.setattr(casense.harness, "_trial_errors", records_trial_ranges)
+    spec = ExperimentSpec(
+        cfg=table3,
+        schemes=(Scheme.CA1,),
+        target=Target(117.3, 31.0),
+        snr_grid=(10.0,),
+        trials=trials,
+        solver=SolverOptions(max_iters=5, tol=1e-4),
+    )
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: 1)
+    serial = run_sweep(spec)
+    monkeypatch.setattr(recovery, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sys.modules[__name__], "RANGES_RUN_HERE", [])
+    recovery._stop_helpers()
+    try:
+        assert run_sweep(spec) == serial
+        assert [(lo, hi) for lo, hi in RANGES_RUN_HERE if hi > lo] == here
+        assert len(CountedHelper.pids) == cpus - 1
     finally:
         recovery._stop_helpers()
 

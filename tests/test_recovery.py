@@ -618,6 +618,46 @@ def test_block_of_a_helper_that_dies_mid_solve_runs_here(monkeypatch):
     assert iterations == max(it for _, it in singles)
 
 
+def sleeps_in_a_helper(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+@needs_fork
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_fork_while_a_map_waits_for_a_reply_does_not_hang_the_child():
+    # the child's after-fork hook closes its copies of the helpers' reply ends,
+    # which must not wait on anything the parent's blocked read holds
+    recovery._stop_helpers()
+    waiting, forked = threading.get_ident(), []
+
+    def fork_during_receive():
+        deadline = time.monotonic() + 60
+        while sys._current_frames()[waiting].f_code.co_name != "receive":
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)  # after the hooks ran
+        forked.append(pid)
+
+    thread = threading.Thread(target=fork_during_receive)
+    thread.start()
+    try:
+        _, helper = recovery._map([(time.sleep, (0,)), (sleeps_in_a_helper, (1.0,))])
+    finally:
+        thread.join(timeout=60)
+    [pid] = forked
+    assert helper != os.getpid()
+    deadline = time.monotonic() + 10
+    while os.waitpid(pid, os.WNOHANG)[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in its after-fork hook")
+        time.sleep(0.01)
+
+
 @needs_fork
 def test_daemonic_child_solves_every_block_itself(monkeypatch):
     # multiprocessing terminates a daemonic process without letting it clean up
