@@ -5,8 +5,8 @@ A target at range R and closing velocity v imprints a phase ramp
 ``exp(+j 2 pi m T 2 v fc/c0)`` across symbols. Dividing the received pilot
 symbols by the known unit-modulus transmit symbols leaves exactly these
 ramps (times the complex gain) plus noise of unchanged distribution: the
-channel information matrix. Its pilot positions are those of its band,
-``grids.pilot_slices(band)``.
+channel information matrix. Like the transmit grid it stores only its
+band's pilot block, the positions ``grids.pilot_slices(band)`` selects.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .config import BandConfig
 from .errors import (
     EmptyScene, InvalidConfig, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning,
     check_kind, check_real, check_seed,
 )
-from .grids import TxGrid, pilot_index_sets, pilot_slices
+from .grids import TxGrid, check_pilot_block, pilot_index_sets, pilot_slices
+
+_NOISE_ROWS = 64  # grid rows per noise draw, rounded up to whole comb periods
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,16 @@ class TargetScene:
 class ChannelInfoMatrix:
     """Received-over-transmitted symbol ratios on the pilot positions."""
 
-    values: np.ndarray  # complex, (N, M), zero off the band's pilots
+    pilots: np.ndarray  # complex, the band's pilot block (see grids.check_pilot_block)
     band: BandConfig
+
+    def __post_init__(self):
+        check_pilot_block(self.pilots, self.band)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The N x M matrix, zeros off the pilots, built anew on every access."""
+        return grids.full_grid(self.band, self.pilots)
 
 
 def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
@@ -97,13 +108,14 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
 
     with w i.i.d. circular complex Gaussian of std ``scene.noise_sigma``.
     Division by the unit-modulus pilot leaves the noise distribution
-    unchanged. Non-pilot positions stay zero. Deterministic per scene seed.
+    unchanged. Only the pilot block is computed. Deterministic per scene
+    seed: the real, then the imaginary parts of w are drawn over the whole
+    N x M grid in row-major order, so a pilot's noise does not depend on the pattern.
     Warns VelocityAmbiguityWarning for a |v| past the band's unambiguous Doppler span.
     """
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
     band = tx.band
-    pilots = pilot_slices(band)  # every gather and scatter below is a basic-slice view
     n_idx, m_idx = pilot_index_sets(band)
     rows, cols = n_idx[:, None], m_idx[None, :]
     t_sym = band.symbol_duration
@@ -125,12 +137,19 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
         # ramp * gain, not gain * ramp: numpy rounds a complex product by operand order
         h += (k_r * k_d) * tgt.gain
     if scene.noise_sigma > 0:
-        # Both draws cover the whole grid, so a pilot's noise does not depend on the pattern.
         rng = np.random.default_rng(scene.seed)
-        re, im = rng.standard_normal(tx.symbols.shape), rng.standard_normal(tx.symbols.shape)
-        w = re[pilots] + 1j * im[pilots]
+        pilots = pilot_slices(band)
+        step = pilots[0].step or 1  # K for a comb, 1 for a block
+        n = band.n_subcarriers
+        chunk = step * -(-_NOISE_ROWS // step)
+        buf = np.empty((min(chunk, n), band.n_symbols))
+        w = np.empty(h.shape, dtype=complex)
+        # standard_normal(out=) fills in C order, so the chunks continue one full-grid stream
+        for part in (w.real, w.imag):
+            for lo in range(0, n, chunk):
+                draw = buf[: min(chunk, n - lo)]
+                rng.standard_normal(out=draw)
+                part[lo // step : (lo + len(draw)) // step] = draw[pilots]
         w *= scene.noise_sigma / np.sqrt(2.0)
-        h += w / tx.symbols[pilots]
-    values = np.zeros(tx.symbols.shape, dtype=complex)
-    values[pilots] = h
-    return ChannelInfoMatrix(values=values, band=band)
+        h += w / tx.pilots
+    return ChannelInfoMatrix(pilots=h, band=band)

@@ -64,7 +64,8 @@ class InvalidNoiseLevel(CasenseError, ValueError):
 
 
 class NonFiniteSpectrum(CasenseError, ValueError):
-    """Spectrum is empty or holds NaN or inf, so it has no meaningful peak."""
+    """Spectrum is empty, holds NaN, inf or a negative entry, or has no positive entry, so it
+    has no meaningful peak."""
 
 
 class VelocityAmbiguityWarning(UserWarning):

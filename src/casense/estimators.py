@@ -33,10 +33,12 @@ from .errors import (
     check_integer,
 )
 from .fusion import build_range_selection, rearrange_low_band
-from .grids import pilot_slices, require_pilot
+from .grids import require_pilot
 from .recovery import (
     FORWARD, SensingOperator, check_solver_knobs, fista_iterations, lasso_lambda, soft_threshold,
 )
+
+_STUFFED_ROWS = 64  # subcarrier rows per zero-stuffed FFT in velocity_spectrum_block_cs
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,19 @@ class AveragedEstimate:
 
 
 def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = None) -> Estimate:
-    """Normalize, search the (optionally restricted) window, map bin to physical."""
+    """Normalize, search the (optionally restricted) window, map bin to physical.
+
+    Raises NonFiniteSpectrum unless the spectrum is nonempty and finite, with no
+    negative and some positive entry: an all-zero spectrum has no peak to search.
+    """
     values = spectrum.values
     check_finite(f"{kind} spectrum", values, NonFiniteSpectrum)
     if search_bins is not None:
         check_integer("search_bins", search_bins, 1, InvalidSolverOptions)
     peak = float(values.max())
-    norm = PowerSpectrum(values / peak if peak > 0 else values.copy(), spectrum.bin_width)
+    if not peak > 0 or values.min() < 0:
+        raise NonFiniteSpectrum(f"{kind} spectrum needs no negative and some positive entry")
+    norm = PowerSpectrum(values / peak, spectrum.bin_width)
     b = int(np.argmax(norm.values[:search_bins]))  # [:None] is the whole spectrum
     return Estimate(kind=kind, peak_bin=b, value=b * norm.bin_width, spectrum=norm)
 
@@ -122,7 +130,7 @@ def range_spectrum_block(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """
     require_pilot(d.band, Block, "range_spectrum_block")
     n = d.band.n_subcarriers
-    acc = np.abs(np.fft.ifft(d.values[pilot_slices(d.band)], axis=0) * np.sqrt(n)).sum(axis=1)
+    acc = np.abs(np.fft.ifft(d.pilots, axis=0) * np.sqrt(n)).sum(axis=1)
     return PowerSpectrum(acc, range_bin_width(c0, d.band.delta_f, n))
 
 
@@ -148,7 +156,7 @@ def velocity_spectrum_comb(d: ChannelInfoMatrix, c0: float) -> PowerSpectrum:
     """Sum of per-row FFT magnitudes over the pilot subcarrier rows."""
     require_pilot(d.band, Comb, "velocity_spectrum_comb")
     m = d.band.n_symbols
-    acc = np.abs(np.fft.fft(d.values[pilot_slices(d.band)], axis=1) / np.sqrt(m)).sum(axis=0)
+    acc = np.abs(np.fft.fft(d.pilots, axis=1) / np.sqrt(m)).sum(axis=0)
     return PowerSpectrum(acc, velocity_bin_width(c0, d.band))
 
 
@@ -161,19 +169,25 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
     conditions exactly (the orthonormal-design lasso). lam is
     lambda_scale * max|A*d| per row; no iterations run.
 
-    A*d of a subcarrier row is the M-point FFT of the row itself (scaled by
-    1/sqrt(M)), whose off-pilot entries are the zeros a ChannelInfoMatrix
-    holds off its mask. Only its first period of M/Q bins is kept: lam, the
-    threshold and the sum over rows run on it, and the returned spectrum is
-    that period tiled Q times, so it repeats exactly every M/Q bins for
-    every M. For power-of-two M the FFT is itself bitwise periodic, so the
-    result equals the full-width computation bit for bit.
+    A*d of a subcarrier row is the M-point FFT (scaled by 1/sqrt(M)) of the
+    row zero-stuffed to full width: its pilots at every Q-th entry, in a
+    buffer of a few rows whose other entries stay zero. Only its first
+    period of M/Q bins is kept: lam, the threshold and the sum over rows run
+    on it, and the returned spectrum is that period tiled Q times, so it
+    repeats exactly every M/Q bins for every M. For power-of-two M the FFT
+    is itself bitwise periodic, so the result equals the full-width
+    computation bit for bit.
     """
     require_pilot(d.band, Block, "velocity_spectrum_block_cs")
-    m, q = d.band.n_symbols, d.band.pilot.interval
-    period = np.fft.fft(d.values, axis=1)[:, : m // q]
+    n, m, q = d.band.n_subcarriers, d.band.n_symbols, d.band.pilot.interval
+    stuffed = np.zeros((min(_STUFFED_ROWS, n), m), dtype=complex)
     # (M/Q, N) and contiguous, so the row sum adds in the order of the (M, N) layout
-    g = np.ascontiguousarray(period.T) / np.sqrt(m)
+    period = np.empty((m // q, n), dtype=complex)
+    for lo in range(0, n, len(stuffed)):
+        block = d.pilots[lo : lo + len(stuffed)]
+        stuffed[: len(block), ::q] = block
+        period[:, lo : lo + len(block)] = np.fft.fft(stuffed[: len(block)], axis=1)[:, : m // q].T
+    g = period / np.sqrt(m)
     x = soft_threshold(g, lasso_lambda(g, opts.lambda_scale))
     return PowerSpectrum(np.tile(np.abs(x).sum(axis=1), q), velocity_bin_width(c0, d.band))
 

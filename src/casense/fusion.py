@@ -18,17 +18,18 @@ import numpy as np
 from .channel import ChannelInfoMatrix
 from .config import Comb
 from .errors import InvalidConfig
-from .grids import pilot_slices, require_pilot
+from .grids import require_pilot
 
 
 def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
     """The (N/K, M) pilot rows of a comb-band matrix: row i is row i*K, K its comb interval.
 
-    Row gathering only, no interpolation. The result is a view of
-    ``d.values``, so its values are the populated ones bit for bit.
+    Row gathering only, no interpolation: the result is ``d.pilots``, the
+    comb band's pilot block itself, so its values are the simulated ones bit
+    for bit.
     """
     require_pilot(d.band, Comb, "rearrange_low_band")
-    return d.values[pilot_slices(d.band)]
+    return d.pilots
 
 
 def build_range_selection(valid_rows: int, n: int) -> np.ndarray:

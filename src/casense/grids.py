@@ -3,8 +3,10 @@
 Grids are oriented subcarrier-major: rows index subcarriers n, columns index
 OFDM symbols m. Where a band's pilots sit is recorded once, by
 ``pilot_slices(band)``; the mask and index sets below are derived from it.
-Non-pilot resource elements carry zeros; the sensing chain only ever reads
-pilot positions.
+A band's records store only its pilot block, the array that
+``pilot_slices`` selects: (N/K, M) for a comb, (N, M/Q) for a block. The
+sensing chain reads nothing else; ``full_grid`` builds the N x M grid, zeros
+off the pilots, for the dumps and views that want it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BandConfig, Comb
-from .errors import InvalidConfig, SchemeMismatch, check_seed
+from .errors import DimensionMismatch, InvalidConfig, SchemeMismatch, check_kind, check_seed
 
 _QPSK = np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)  # unit-modulus corners
 
@@ -24,10 +26,18 @@ CSV_FLOAT_FMT = "%.16e"  # every float in a casense CSV: 17 significant digits, 
 
 @dataclass(frozen=True)
 class TxGrid:
-    """N x M transmit grid: unit-modulus symbols on pilot positions, zeros off."""
+    """Transmit pilot block of a band: unit-modulus symbols on its pilot positions."""
 
-    symbols: np.ndarray  # complex, (N, M)
+    pilots: np.ndarray  # complex, the band's pilot block (see check_pilot_block)
     band: BandConfig
+
+    def __post_init__(self):
+        check_pilot_block(self.pilots, self.band)
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The N x M grid, zeros off the pilots, built anew on every access."""
+        return full_grid(self.band, self.pilots)
 
 
 def pilot_slices(band: BandConfig) -> tuple[slice, slice]:
@@ -35,12 +45,35 @@ def pilot_slices(band: BandConfig) -> tuple[slice, slice]:
 
     Comb with interval K: (::K, :), subcarriers {0, K, ..., N-K} on all M
     symbols. Block with interval Q: (:, ::Q), all N subcarriers on symbols
-    {0, Q, ..., M-Q}. Every pilot grid is addressed through this pair: a
-    basic-slice view of an (N, M) array holds the pilots in row-major order.
+    {0, Q, ..., M-Q}. Every pilot grid is addressed through this pair: what
+    it selects from an (N, M) array, in row-major order, is the band's pilot
+    block, the array a TxGrid or ChannelInfoMatrix stores.
     """
     if isinstance(band.pilot, Comb):
         return slice(None, None, band.pilot.interval), slice(None)
     return slice(None), slice(None, None, band.pilot.interval)
+
+
+def _block_shape(band) -> tuple[int, int]:
+    """Shape of band's pilot block, (N/K, M) or (N, M/Q); InvalidConfig unless a BandConfig."""
+    check_kind("band", band, BandConfig, InvalidConfig)
+    rows, cols = pilot_slices(band)
+    return len(range(band.n_subcarriers)[rows]), len(range(band.n_symbols)[cols])
+
+
+def check_pilot_block(pilots, band) -> None:
+    """Raise InvalidConfig unless band is a BandConfig, DimensionMismatch unless pilots is
+    an array of the shape pilot_slices(band) selects from an N x M grid."""
+    shape = _block_shape(band)
+    if not isinstance(pilots, np.ndarray) or pilots.shape != shape:
+        raise DimensionMismatch(f"pilot block of shape {np.shape(pilots)} is not {shape}")
+
+
+def full_grid(band: BandConfig, pilots: np.ndarray) -> np.ndarray:
+    """The complex N x M grid holding a pilot block at pilot_slices(band), zeros elsewhere."""
+    grid = np.zeros((band.n_subcarriers, band.n_symbols), dtype=complex)
+    grid[pilot_slices(band)] = pilots
+    return grid
 
 
 def require_pilot(band: BandConfig, kind: type, caller: str) -> None:
@@ -67,18 +100,14 @@ def pilot_index_sets(band: BandConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_tx_grid(band: BandConfig, seed) -> TxGrid:
-    """Fill pilot positions with uniformly random QPSK symbols.
+    """Uniformly random QPSK symbols on the band's pilot positions.
 
-    Deterministic per seed (see errors.check_seed): the draws fill the pilots
-    in row-major order. Off-pilot positions are exactly zero.
+    Deterministic per seed (see errors.check_seed): the draws fill the pilot
+    block in row-major order.
     """
     check_seed("seed", seed, InvalidConfig)
-    rng = np.random.default_rng(seed)
-    pilots = pilot_slices(band)
-    symbols = np.zeros((band.n_subcarriers, band.n_symbols), dtype=complex)
-    view = symbols[pilots]
-    view[...] = _QPSK[rng.integers(0, 4, size=view.shape)]
-    return TxGrid(symbols=symbols, band=band)
+    draw = np.random.default_rng(seed).integers(0, 4, size=_block_shape(band))
+    return TxGrid(pilots=_QPSK[draw], band=band)
 
 
 def write_csv(path, header, rows) -> None:

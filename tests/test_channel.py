@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casense import channel
 from casense.channel import (
     Target,
     TargetScene,
     sigma_for_snr,
     simulate_channel_info,
 )
-from casense.config import Scheme, make_table3_config, with_scheme
+from casense.config import BandConfig, Block, Comb, Scheme, make_table3_config, with_scheme
 from casense.errors import (
     CasenseError,
     EmptyScene,
@@ -17,7 +18,7 @@ from casense.errors import (
     InvalidTarget,
     VelocityAmbiguityWarning,
 )
-from casense.grids import generate_tx_grid, pilot_mask
+from casense.grids import generate_tx_grid, pilot_mask, pilot_slices
 
 C0 = 3e8
 
@@ -218,3 +219,26 @@ def test_pilot_only_simulation_equals_full_grid_formula(scheme, high, targets, s
     expected = full_grid_reference(tx, scene, cfg.c0)
     assert d.values.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
     assert d.band == tx.band == band
+
+
+@pytest.mark.parametrize(
+    "band",
+    [
+        BandConfig(5.9e9, 30e3, 100, 12, 1e-6, Comb(4)),
+        BandConfig(5.9e9, 30e3, 200, 8, 1e-6, Comb(4)),
+        BandConfig(24e9, 120e3, 130, 12, 1.33e-6, Block(4)),
+    ],
+    ids=["comb-N100", "comb-N200", "block-N130"],
+)
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_pilot_block_is_the_full_grid_formula_across_noise_draws(band, sigma):
+    # N exceeds the rows one noise draw fills and is not a multiple of them, so the
+    # draws' stream crosses several draws and ends in a short one
+    assert band.n_subcarriers > channel._NOISE_ROWS and band.n_subcarriers % channel._NOISE_ROWS
+    tx = generate_tx_grid(band, seed=3)
+    scene = TargetScene(targets=TWO_TARGETS[:1], noise_sigma=sigma, seed=4)
+    d = simulate_channel_info(tx, scene, c0=C0)
+    expected = full_grid_reference(tx, scene, C0)
+    block = np.ascontiguousarray(expected[pilot_slices(band)])
+    assert d.pilots.view(np.int64).tobytes() == block.view(np.int64).tobytes()
+    assert d.values.view(np.int64).tobytes() == expected.view(np.int64).tobytes()

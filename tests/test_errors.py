@@ -15,15 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casense import (
-    BandConfig, CaConfig, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme, SensingOperator,
-    SolverOptions, Target, TargetScene, crlb_sweep, generate_tx_grid, make_table3_config,
-    sigma_for_snr,
+    BandConfig, CaConfig, ChannelInfoMatrix, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme,
+    SensingOperator, SolverOptions, Target, TargetScene, TxGrid, crlb_sweep, generate_tx_grid,
+    make_table3_config, sigma_for_snr,
 )
 from casense import errors
 from casense.recovery import fista_iterations
 from casense.errors import (
-    CasenseError, InvalidConfig, InvalidNoiseLevel, InvalidSolverOptions, InvalidTarget,
-    PilotIntervalDoesNotDivide,
+    CasenseError, DimensionMismatch, InvalidConfig, InvalidNoiseLevel, InvalidSolverOptions,
+    InvalidTarget, PilotIntervalDoesNotDivide,
 )
 
 CFG = make_table3_config()
@@ -134,6 +134,19 @@ CASES = {
         lambda: SensingOperator(n=8, direction="forward", row_mask=np.full(8, 0.5)), InvalidConfig),
     "LassoProblem(lam=array)": (lambda: RECORDS["LassoProblem"](lam=np.array([0.1])),
                                 InvalidSolverOptions),
+    # a band's records hold its pilot block: (N/K, M) = (128, 64) for Table 3's comb low
+    # band, (N, M/Q) = (512, 16) for its block high band
+    "TxGrid(full grid)": (lambda: TxGrid(np.zeros((512, 64), complex), CFG.low), DimensionMismatch),
+    "TxGrid(band=None)": (lambda: TxGrid(np.zeros((128, 64), complex), None), InvalidConfig),
+    "ChannelInfoMatrix(full grid)": (lambda: ChannelInfoMatrix(np.zeros((512, 64), complex),
+                                                               CFG.high), DimensionMismatch),
+    "ChannelInfoMatrix(comb block, block band)": (
+        lambda: ChannelInfoMatrix(np.zeros((128, 64), complex), CFG.high), DimensionMismatch),
+    "ChannelInfoMatrix(list)": (lambda: ChannelInfoMatrix([[0j] * 16] * 512, CFG.high),
+                                DimensionMismatch),
+    "ChannelInfoMatrix(band=cfg)": (lambda: ChannelInfoMatrix(np.zeros((512, 16), complex), CFG),
+                                    InvalidConfig),
+    "generate_tx_grid(None, 0)": (lambda: generate_tx_grid(None, 0), InvalidConfig),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casense import estimators
 from casense.channel import (
     ChannelInfoMatrix,
     Target,
@@ -34,7 +35,7 @@ from casense.estimators import (
     velocity_spectrum_block_cs,
 )
 from casense.fusion import build_range_selection
-from casense.grids import generate_tx_grid
+from casense.grids import full_grid, generate_tx_grid
 from casense.harness import simulate_trial_matrices, snapshot_spectra
 from casense.recovery import (
     INVERSE,
@@ -43,6 +44,7 @@ from casense.recovery import (
     certify_kkt,
     default_lambda,
     fista_iterations,
+    lasso_lambda,
     soft_threshold,
     solve_omp,
 )
@@ -130,8 +132,8 @@ def test_peak_bin_invariant_under_complex_scaling(table3):
 
     d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=0.0, seed=9)
     scale = 3.4e4 * np.exp(1.1j)
-    d_low_s = replace(d_low, values=d_low.values * scale)
-    d_high_s = replace(d_high, values=d_high.values * scale)
+    d_low_s = replace(d_low, pilots=d_low.pilots * scale)
+    d_high_s = replace(d_high, pilots=d_high.pilots * scale)
     r1, _ = estimate_any_scheme(d_low, d_high, table3)
     r2, _ = estimate_any_scheme(d_low_s, d_high_s, table3)
     assert r1.peak_bin == r2.peak_bin
@@ -401,10 +403,13 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
         (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 2.5), InvalidSolverOptions),
         (lambda op: top_k_peaks(PowerSpectrum(np.array([0.1, 0.2]), 1.0), 1, guard=0.5),
          InvalidSolverOptions),
-        (lambda op: band_spectrum(ChannelInfoMatrix(np.zeros((512, 64), complex),
+        (lambda op: band_spectrum(ChannelInfoMatrix(np.zeros((512, 16), complex),
                                                     make_table3_config().high), "doppler", C0),
          InvalidConfig),
         (lambda op: peak_estimate(PowerSpectrum(np.array([]), 1.0), "range"), NonFiniteSpectrum),
+        (lambda op: peak_estimate(PowerSpectrum(np.zeros(3), 1.0), "range"), NonFiniteSpectrum),
+        (lambda op: peak_estimate(PowerSpectrum(np.array([0.5, -0.1, 1.0]), 1.0), "range"),
+         NonFiniteSpectrum),
         (lambda op: top_k_peaks(PowerSpectrum(np.array([]), 1.0), 1), NonFiniteSpectrum),
         (lambda op: peak_estimate(PowerSpectrum(np.array([0.1, 0.2]), 1.0), "range", search_bins=0),
          InvalidSolverOptions),
@@ -418,7 +423,8 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
          "operator-direction", "operator-empty-mask", "top-k-peaks-k", "top-k-peaks-guard",
          "omp-sparsity", "sigma-for-snr-zero-gain", "operator-n-float", "operator-n-bool",
          "omp-sparsity-2.5", "top-k-peaks-k-2.5", "top-k-peaks-guard-0.5", "band-spectrum-kind",
-         "peak-estimate-empty", "top-k-peaks-empty", "peak-estimate-search-bins-0",
+         "peak-estimate-empty", "peak-estimate-all-zero", "peak-estimate-negative-entry",
+         "top-k-peaks-empty", "peak-estimate-search-bins-0",
          "snapshot-seed-negative", "snapshot-seed-1.5", "crlb-sweep-spacing-x"],
 )
 def test_bad_arguments_raise_a_casense_error_that_is_a_value_error(build, error):
@@ -436,10 +442,9 @@ def _velocity_problem(m, q, rows, seed):
     """A block band of `rows` subcarriers with random complex pilot columns."""
     band = BandConfig(24e9, 120e3, rows, m, 1.33e-6, Block(q))
     rng = np.random.default_rng(seed)
-    values = np.zeros((rows, m), dtype=complex)
-    values[:, ::q] = rng.standard_normal((rows, m // q)) + 1j * rng.standard_normal((rows, m // q))
+    pilots = rng.standard_normal((rows, m // q)) + 1j * rng.standard_normal((rows, m // q))
     op = SensingOperator(n=m, direction=INVERSE, row_mask=build_velocity_selection(q, m))
-    return ChannelInfoMatrix(values, band), op, values[:, ::q].T
+    return ChannelInfoMatrix(pilots, band), op, pilots.T
 
 
 def _fista_reference(op, cols, lambda_scale):
@@ -517,3 +522,39 @@ def test_closed_form_velocity_solution_certifies_kkt_per_row(mq, rows, lambda_sc
     x = np.tile(x, (q, 1))
     for j in range(rows):
         assert certify_kkt(LassoProblem(op, cols[:, j], lam[j]), x[:, j]) <= 1e-12 * lam[j]
+
+
+@pytest.mark.parametrize("m, q", [(64, 4), (48, 4), (16, 1)])
+@pytest.mark.parametrize("rows", [100, 130])
+@pytest.mark.parametrize("lambda_scale", [0.0, 0.1])
+def test_block_velocity_spectrum_is_the_full_grid_fft_across_row_buffers(m, q, rows, lambda_scale):
+    # more rows than one zero-stuffed buffer holds, and not a multiple of it
+    assert rows > estimators._STUFFED_ROWS and rows % estimators._STUFFED_ROWS
+    d, _, _ = _velocity_problem(m, q, rows, seed=rows)
+    period = np.fft.fft(full_grid(d.band, d.pilots), axis=1)[:, : m // q]
+    g = np.ascontiguousarray(period.T) / np.sqrt(m)
+    x = soft_threshold(g, lasso_lambda(g, lambda_scale))
+    expected = np.tile(np.abs(x).sum(axis=1), q)
+    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
+    assert spectrum.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_all_zero_pilot_blocks_raise_instead_of_giving_bin_0(scheme):
+    cfg = with_scheme(make_table3_config(), scheme)
+    d_low, d_high = (ChannelInfoMatrix(np.zeros_like(generate_tx_grid(band, 0).pilots), band)
+                     for band in (cfg.low, cfg.high))
+    with pytest.raises(NonFiniteSpectrum):
+        estimate_any_scheme(d_low, d_high, cfg, SolverOptions(max_iters=5))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CA2, Scheme.CA3])
+def test_block_band_cs_velocity_spectrum_thresholded_to_zero_raises(scheme):
+    # lam = lambda_scale * max|A*d| per row, so lambda_scale 1 thresholds every bin
+    cfg = with_scheme(make_table3_config(), scheme)
+    d_low, d_high = channel_pair(cfg, Target(117.0, 30.0), snr_db=10.0)
+    block = d_low if isinstance(cfg.low.pilot, Block) else d_high
+    spectrum, bins = band_spectrum(block, "velocity", C0, SolverOptions(lambda_scale=1.0))
+    assert not spectrum.values.any()
+    with pytest.raises(NonFiniteSpectrum):
+        peak_estimate(spectrum, "velocity", bins)

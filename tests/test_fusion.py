@@ -5,20 +5,17 @@ from casense.channel import ChannelInfoMatrix, Target, TargetScene, simulate_cha
 from casense.config import BandConfig, Block, Comb, make_table3_config
 from casense.errors import SchemeMismatch
 from casense.fusion import build_range_selection, rearrange_low_band
-from casense.grids import generate_tx_grid, pilot_mask
+from casense.grids import generate_tx_grid, pilot_slices
 
 C0 = 3e8
 
 
 def comb_matrix(n=8, m=3, k=4, fill=None):
     band = BandConfig(5.9e9, 30e3, n, m, 1e-6, Comb(k))
-    values = np.zeros((n, m), complex)
-    mask = pilot_mask(band)
     if fill is None:
         rng = np.random.default_rng(0)
         fill = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    values[mask] = fill[mask]
-    return ChannelInfoMatrix(values=values, band=band)
+    return ChannelInfoMatrix(pilots=fill[pilot_slices(band)].copy(), band=band)
 
 
 def test_rearrange_small_example():
@@ -84,7 +81,7 @@ def test_doppler_laws_coincide_across_bands():
 
 def test_rearrange_rejects_block_band():
     band = BandConfig(24e9, 120e3, 8, 4, 1e-6, Block(2))
-    d = ChannelInfoMatrix(values=np.zeros((8, 4), complex), band=band)
+    d = ChannelInfoMatrix(pilots=np.zeros((8, 2), complex), band=band)
     with pytest.raises(SchemeMismatch, match="needs a comb-pilot band"):
         rearrange_low_band(d)
 

@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import casense.cli
+import casense.grids
 import casense.harness
 from casense import recovery
-from casense.channel import Target
+from casense.channel import Target, sigma_for_snr
 from casense.config import Scheme, make_table3_config, with_scheme
 from casense.errors import InvalidConfig, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning
 from casense.estimators import AveragedEstimate, SolverOptions
@@ -509,3 +512,40 @@ def test_ambiguous_velocity_warns_in_the_caller(table3, monkeypatch):
     )
     with pytest.warns(VelocityAmbiguityWarning):
         run_sweep(spec)
+
+
+def test_trial_path_reads_only_pilot_blocks(table3, monkeypatch, tmp_path):
+    # every trial and its range solves run in this process, where the patch holds
+    monkeypatch.setattr(recovery, "_split", split_into(1))
+
+    def refuse(band, pilots):
+        raise AssertionError("an N x M grid was built on the trial path")
+
+    monkeypatch.setattr(casense.grids, "full_grid", refuse)
+    d_low, _ = casense.harness.simulate_trial_matrices(table3, Target(117.0, 30.0), 0.1, (0, 0, 0, 0))
+    with pytest.raises(AssertionError):
+        d_low.values  # the patch is live
+    for scheme in Scheme:
+        spec = ExperimentSpec(cfg=with_scheme(table3, scheme), schemes=(scheme,),
+                              target=Target(117.0, 30.0), snr_grid=(10.0,), trials=1, solver=FAST)
+        assert len(run_sweep(spec)) == 1
+    out = tmp_path / "shot"
+    assert casense.cli.main(["estimate", "--out", str(out), "--snr", "10", "--max-iters", "40"]) == 0
+    assert (tmp_path / "shot_range.csv").exists()
+
+
+def test_ca3_trial_traced_peak_stays_under_a_pilot_block_budget(table3):
+    # a Table-3 CA3 trial: two block bands of (512, 16) pilots, 128 KiB each; with N x M grids
+    # (512 KiB each, several per band) the peak was 2.27 MiB
+    cfg = with_scheme(table3, Scheme.CA3)
+    spec = ExperimentSpec(cfg=cfg, schemes=(Scheme.CA3,), target=Target(117.0, 30.0),
+                          snr_grid=(10.0,), trials=1)
+    trial = (spec, cfg, 0, 0, sigma_for_snr(10.0), 0, 1)
+    casense.harness._trial_errors(*trial)  # FFT plans and first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        casense.harness._trial_errors(*trial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
