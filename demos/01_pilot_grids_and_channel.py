@@ -42,7 +42,7 @@ for name, band in (("low", cfg.low), ("high", cfg.high)):
 target = Target(range_m=117.0, velocity_mps=30.0, gain=1.0)
 tx = generate_tx_grid(cfg.high, seed=1)
 noiseless = simulate_channel_info(tx, TargetScene((target,), noise_sigma=0.0), c0=cfg.c0)
-step = np.angle(noiseless.values[1, 0] / noiseless.values[0, 0])
+step = np.angle(noiseless.pilots[1, 0] / noiseless.pilots[0, 0])  # block band: every subcarrier
 expected = -2 * np.pi * cfg.high.delta_f * 2 * target.range_m / cfg.c0
 print(f"\nrange phase step across subcarriers: {step:+.5f} rad "
       f"(model: {expected:+.5f} rad)")
@@ -51,8 +51,7 @@ sigma = sigma_for_snr(10.0, target.gain)
 noisy = simulate_channel_info(
     tx, TargetScene((target,), noise_sigma=sigma, seed=42), c0=cfg.c0
 )
-pilots = pilot_mask(cfg.high)
-snr_emp = np.mean(np.abs(noiseless.values[pilots]) ** 2) / np.mean(
-    np.abs(noisy.values[pilots] - noiseless.values[pilots]) ** 2
+snr_emp = np.mean(np.abs(noiseless.pilots) ** 2) / np.mean(
+    np.abs(noisy.pilots - noiseless.pilots) ** 2
 )
 print(f"empirical per-sample SNR at nominal 10 dB: {10*np.log10(snr_emp):.2f} dB")

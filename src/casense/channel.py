@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grids
 from .config import BandConfig
 from .errors import (
     EmptyScene, InvalidConfig, InvalidNoiseLevel, InvalidTarget, VelocityAmbiguityWarning,
@@ -71,11 +70,6 @@ class ChannelInfoMatrix:
     def __post_init__(self):
         check_pilot_block(self.pilots, self.band)
 
-    @property
-    def values(self) -> np.ndarray:
-        """The N x M matrix, zeros off the pilots, built anew on every access."""
-        return grids.full_grid(self.band, self.pilots)
-
 
 def sigma_for_snr(snr_db: float, gain: complex = 1.0 + 0j) -> float:
     """Noise std giving per-pilot-sample SNR |gain|^2 / sigma^2 = 10^(snr/10).
@@ -115,6 +109,7 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
     """
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
+    check_real("c0", c0, InvalidConfig, "positive")
     band = tx.band
     n_idx, m_idx = pilot_index_sets(band)
     rows, cols = n_idx[:, None], m_idx[None, :]

@@ -18,7 +18,7 @@ from .config import CaConfig, Scheme, load_config, make_table3_config, with_sche
 from .crlb import crlb_sweep
 from .errors import CasenseError, InvalidSnrGrid
 from .estimators import SolverOptions
-from .grids import dump_grid_csv, pilot_mask, write_csv
+from .grids import dump_grid_csv, full_grid, pilot_mask, write_csv
 from .harness import (
     ExperimentSpec,
     run_sweep,
@@ -200,7 +200,7 @@ def _run(args) -> None:
             cfg, target, sigma_for_snr(snr[0], target.gain), (args.seed, 0, 0, 0)
         )
         for kind, d in (("low", d_low), ("high", d_high)):
-            dump_grid_csv(d.values, pilot_mask(d.band), f"{args.out}_{kind}.csv")
+            dump_grid_csv(full_grid(d.band, d.pilots), pilot_mask(d.band), f"{args.out}_{kind}.csv")
         print(f"wrote {args.out}_low.csv and {args.out}_high.csv")
         return
     r_est, v_est = snapshot_spectra(cfg, target, snr[0], args.seed, _solver(args))

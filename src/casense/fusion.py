@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Comb
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_integer
 from .grids import require_pilot
 
 
@@ -34,7 +34,9 @@ def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
 
 def build_range_selection(valid_rows: int, n: int) -> np.ndarray:
     """Leading-rows mask: True on [0, valid_rows), False elsewhere."""
-    if not 0 < valid_rows <= n:
+    check_integer("valid_rows", valid_rows, 1, InvalidConfig)
+    check_integer("n", n, 1, InvalidConfig)
+    if valid_rows > n:
         raise InvalidConfig(f"valid_rows must be in (0, {n}], got {valid_rows}")
     mask = np.zeros(n, dtype=bool)
     mask[:valid_rows] = True

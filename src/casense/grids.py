@@ -6,7 +6,7 @@ OFDM symbols m. Where a band's pilots sit is recorded once, by
 A band's records store only its pilot block, the array that
 ``pilot_slices`` selects: (N/K, M) for a comb, (N, M/Q) for a block. The
 sensing chain reads nothing else; ``full_grid`` builds the N x M grid, zeros
-off the pilots, for the dumps and views that want it.
+off the pilots, anew on every call, for the grid dump.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ class TxGrid:
 
     def __post_init__(self):
         check_pilot_block(self.pilots, self.band)
-
-    @property
-    def symbols(self) -> np.ndarray:
-        """The N x M grid, zeros off the pilots, built anew on every access."""
-        return full_grid(self.band, self.pilots)
 
 
 def pilot_slices(band: BandConfig) -> tuple[slice, slice]:

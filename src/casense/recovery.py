@@ -71,7 +71,7 @@ class SensingOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x: transform then keep the masked rows. Accepts (n,) or (n, b)."""
         x = np.asarray(x)
-        if x.shape[0] != self.n:
+        if x.shape[:1] != (self.n,):
             raise DimensionMismatch(f"expected leading dimension {self.n}, got {x.shape}")
         transform, _, a, _ = self.fft_pair
         return transform(x, axis=0)[self.row_mask] * a
@@ -79,7 +79,7 @@ class SensingOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* y: scatter measurements back to masked rows, inverse-transform."""
         y = np.asarray(y)
-        if y.shape[0] != self.n_measurements:
+        if y.shape[:1] != (self.n_measurements,):
             raise DimensionMismatch(
                 f"expected leading dimension {self.n_measurements}, got {y.shape}"
             )
@@ -134,6 +134,7 @@ def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1):
 
     A float for a 1-D d; for a 2-D d, an array holding one value per column.
     """
+    check_real("scale", scale, InvalidSolverOptions, "nonnegative")
     d = np.asarray(d, dtype=complex)
     check_finite("observations", d, InvalidConfig)
     lam = lasso_lambda(op.adjoint(d), scale)
@@ -190,7 +191,7 @@ def fista_iterations(
     for value in np.ravel(lam):  # one lam for every column, or one per column
         check_real("lam", value, InvalidSolverOptions, "nonnegative")
     d = np.asarray(d, dtype=complex)
-    if d.shape[0] != op.n_measurements:
+    if d.shape[:1] != (op.n_measurements,):
         raise DimensionMismatch(f"expected leading dimension {op.n_measurements}, got {d.shape}")
     check_finite("observations", d, InvalidConfig)
     rows = d.reshape(op.n_measurements, -1).T  # (batch, p): one column per row
@@ -211,10 +212,10 @@ def _map(calls):
     A map of two calls or more that takes the pool lock makes call 0 here
     and sends each other call to a helper process, forked by the first map
     that needs it and kept. A map that finds the lock taken (by another
-    caller, or by an outer map whose call this is), or of one call (which
-    takes no lock), makes every call here. A call also runs here if its
-    helper cannot start (no fork, a daemonic process, or inside a helper),
-    died, or raised (a helper exits on errors).
+    caller, by an outer map whose call this is, or in a helper, which holds
+    it for life), or of one call (which takes no lock), makes every call
+    here. A call also runs here if its helper cannot start (no fork or a
+    daemonic process), died, or raised (a helper exits on errors).
     """
     if len(calls) < 2 or not _pool.acquire(blocking=False):
         return [fn(*args) for fn, args in calls]
@@ -341,7 +342,6 @@ class _Helper:
     """
 
     def __init__(self):
-        global _in_helper
         requests, self.requests = os.pipe()
         self.replies, reply_end = os.pipe()
         try:
@@ -351,7 +351,7 @@ class _Helper:
                 os.close(fd)
             raise
         if self.pid == 0:  # the helper, which never returns from here
-            _in_helper = True
+            _pool.acquire(blocking=False)  # held for life: a map in a call here runs it all here
             warnings.simplefilter("ignore")  # call 0 runs in the caller, which sees its warnings
             try:
                 os.close(self.requests)
@@ -415,10 +415,9 @@ def _write(fd: int, message) -> None:
         view = view[os.write(fd, view) :]
 
 
-_pool = threading.Lock()  # held by the one map that may use the helpers
+_pool = threading.Lock()  # held by the one map that may use the helpers; a helper holds its own
 _helpers: list[_Helper] = []  # started by the first map that needs them
 _reaper = None  # in a process that multiprocessing started: the finalizer that joins its helpers
-_in_helper = False  # set in a helper, which starts no helpers
 
 
 def _helpers_for(count: int) -> list[_Helper]:
@@ -426,7 +425,7 @@ def _helpers_for(count: int) -> list[_Helper]:
     global _reaper
     process = sys.modules.get("multiprocessing.process")
     daemonic = process and process.current_process().daemon
-    if _in_helper or daemonic or not hasattr(os, "fork"):
+    if daemonic or not hasattr(os, "fork"):
         return []
     if _reaper is None and process and process.parent_process():
         # multiprocessing ends such a process with os._exit, which skips atexit

@@ -19,7 +19,7 @@ from casense.cli import MAX_SNR_POINTS, _parse_snr, main
 from casense.config import config_to_dict, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
-from casense.grids import CSV_FLOAT_FMT, pilot_mask
+from casense.grids import CSV_FLOAT_FMT, full_grid, pilot_mask
 from casense.harness import simulate_trial_matrices
 from casense.recovery import FORWARD
 from conftest import pin_mismatch
@@ -367,7 +367,8 @@ def test_simulate_subcommand(tmp_path):
         assert len(rows) == 1 + 512 * 64
         cells = np.array([[float(r[2]), float(r[3])] for r in rows[1:]])  # plain floats
         values = (cells[:, 0] + 1j * cells[:, 1]).reshape(512, 64)
-        assert values.view(np.int64).tobytes() == mat.values.view(np.int64).tobytes()
+        expected = full_grid(mat.band, mat.pilots)
+        assert values.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
         mask = np.array([int(r[4]) for r in rows[1:]], dtype=bool).reshape(512, 64)
         assert np.array_equal(mask, pilot_mask(mat.band))
 

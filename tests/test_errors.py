@@ -1,4 +1,5 @@
-"""The checking rules of casense.errors, as every record's constructor applies them.
+"""The checking rules of casense.errors, as every record's constructor and the public
+functions apply them.
 
 Each scalar field of each record takes one kind of value: a finite real
 (maybe signed), an integer >= a bound, a complex gain or a bool. Built with a
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from casense import (
     BandConfig, CaConfig, ChannelInfoMatrix, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme,
-    SensingOperator, SolverOptions, Target, TargetScene, TxGrid, crlb_sweep, generate_tx_grid,
-    make_table3_config, sigma_for_snr,
+    SensingOperator, SolverOptions, Target, TargetScene, TxGrid, build_range_selection, certify_kkt,
+    crlb_sweep, default_lambda, generate_tx_grid, make_table3_config, sigma_for_snr,
+    simulate_channel_info,
 )
 from casense import errors
 from casense.recovery import fista_iterations
@@ -147,6 +149,20 @@ CASES = {
     "ChannelInfoMatrix(band=cfg)": (lambda: ChannelInfoMatrix(np.zeros((512, 16), complex), CFG),
                                     InvalidConfig),
     "generate_tx_grid(None, 0)": (lambda: generate_tx_grid(None, 0), InvalidConfig),
+    **{f"simulate_channel_info(c0={c0})": (lambda c0=c0: simulate_channel_info(
+        generate_tx_grid(CFG.high, 0), RECORDS["TargetScene"](), c0), InvalidConfig)
+       for c0 in (math.nan, math.inf, 0.0)},
+    **{f"default_lambda(scale={scale})": (lambda scale=scale: default_lambda(
+        OPERATOR, np.ones(8), scale), InvalidSolverOptions) for scale in (math.nan, math.inf, -1.0)},
+    # a 0-d array has no leading dimension to match the operator's
+    "SensingOperator.apply(0-d)": (lambda: OPERATOR.apply(np.array(1j)), DimensionMismatch),
+    "SensingOperator.adjoint(0-d)": (lambda: OPERATOR.adjoint(np.array(1j)), DimensionMismatch),
+    "fista_iterations(d=0-d)": (lambda: fista_iterations(OPERATOR, np.array(1j), 0.1, 5, 0.0),
+                                DimensionMismatch),
+    "certify_kkt(p, 0.0)": (lambda: certify_kkt(RECORDS["LassoProblem"](), 0.0), DimensionMismatch),
+    "default_lambda(op, 2.0)": (lambda: default_lambda(OPERATOR, 2.0), DimensionMismatch),
+    **{f"build_range_selection({rows!r}, {n!r})": (lambda rows=rows, n=n: build_range_selection(
+        rows, n), InvalidConfig) for rows, n in ((16.5, 64), (16, 64.0), (True, 64))},
 }
 
 

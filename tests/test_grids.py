@@ -5,6 +5,7 @@ from casense.config import BandConfig, Block, Comb
 from casense.grids import (
     CSV_FLOAT_FMT,
     dump_grid_csv,
+    full_grid,
     generate_tx_grid,
     pilot_index_sets,
     pilot_mask,
@@ -20,11 +21,12 @@ def band(n, m, pilot):
 def test_comb_mask_rows():
     grid = generate_tx_grid(band(8, 2, Comb(4)), seed=0)
     mask = pilot_mask(grid.band)
+    symbols = full_grid(grid.band, grid.pilots)
     assert mask[0].all() and mask[4].all()
-    assert (grid.symbols[0] != 0).all() and (grid.symbols[4] != 0).all()
+    assert (symbols[0] != 0).all() and (symbols[4] != 0).all()
     for row in (1, 2, 3, 5, 6, 7):
         assert not mask[row].any()
-        assert (grid.symbols[row] == 0).all()
+        assert (symbols[row] == 0).all()
 
 
 def test_block_mask_columns():
@@ -32,21 +34,21 @@ def test_block_mask_columns():
     mask = pilot_mask(grid.band)
     assert mask[:, 0].all() and mask[:, 2].all()
     assert not mask[:, 1].any() and not mask[:, 3].any()
-    assert np.array_equal(grid.symbols != 0, mask)
+    assert np.array_equal(full_grid(grid.band, grid.pilots) != 0, mask)
 
 
 def test_same_seed_same_grid():
     b = band(16, 8, Comb(2))
     g1 = generate_tx_grid(b, seed=123)
     g2 = generate_tx_grid(b, seed=123)
-    assert np.array_equal(g1.symbols, g2.symbols)
+    assert np.array_equal(g1.pilots, g2.pilots)
     g3 = generate_tx_grid(b, seed=124)
-    assert not np.array_equal(g1.symbols, g3.symbols)
+    assert not np.array_equal(g1.pilots, g3.pilots)
 
 
 def test_pilots_are_unit_modulus():
     grid = generate_tx_grid(band(64, 16, Block(4)), seed=5)
-    mags = np.abs(grid.symbols[pilot_mask(grid.band)])
+    mags = np.abs(grid.pilots)
     assert np.all(np.abs(mags - 1.0) < 1e-12)
 
 
@@ -56,8 +58,9 @@ def test_pilots_are_unit_modulus():
 )
 def test_mask_count_and_energy(pilot, count):
     grid = generate_tx_grid(band(64, 16, pilot), seed=1)
-    assert int(pilot_mask(grid.band).sum()) == np.count_nonzero(grid.symbols) == count
-    energy = float(np.sum(np.abs(grid.symbols) ** 2))
+    symbols = full_grid(grid.band, grid.pilots)
+    assert int(pilot_mask(grid.band).sum()) == np.count_nonzero(symbols) == count
+    energy = float(np.sum(np.abs(symbols) ** 2))
     assert energy == pytest.approx(count, rel=1e-12)
 
 
@@ -108,13 +111,13 @@ def test_pilot_slices_agree_with_mask_and_index_sets(n, m, pilot):
     subs, syms = pilot_index_sets(b)
     assert np.array_equal(grid[rows, cols], grid[np.ix_(subs, syms)])
     tx = generate_tx_grid(b, seed=3)
-    assert np.array_equal(tx.symbols != 0, on_pilot)
+    assert np.array_equal(full_grid(b, tx.pilots) != 0, on_pilot)
 
 
 def test_grid_csv_dump(tmp_path):
     grid = generate_tx_grid(band(4, 2, Comb(2)), seed=0)
     path = tmp_path / "grid.csv"
-    dump_grid_csv(grid.symbols, pilot_mask(grid.band), path)
+    dump_grid_csv(full_grid(grid.band, grid.pilots), pilot_mask(grid.band), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,m,re,im,mask"
     assert len(lines) == 1 + 4 * 2

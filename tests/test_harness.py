@@ -522,9 +522,9 @@ def test_trial_path_reads_only_pilot_blocks(table3, monkeypatch, tmp_path):
         raise AssertionError("an N x M grid was built on the trial path")
 
     monkeypatch.setattr(casense.grids, "full_grid", refuse)
-    d_low, _ = casense.harness.simulate_trial_matrices(table3, Target(117.0, 30.0), 0.1, (0, 0, 0, 0))
-    with pytest.raises(AssertionError):
-        d_low.values  # the patch is live
+    monkeypatch.setattr(casense.cli, "full_grid", refuse)
+    with pytest.raises(AssertionError):  # the patch is live: the grid dump builds N x M grids
+        casense.cli.main(["simulate", "--out", str(tmp_path / "grid"), "--snr", "10"])
     for scheme in Scheme:
         spec = ExperimentSpec(cfg=with_scheme(table3, scheme), schemes=(scheme,),
                               target=Target(117.0, 30.0), snr_grid=(10.0,), trials=1, solver=FAST)

@@ -766,14 +766,15 @@ def test_helper_exits_when_its_process_is_killed(tmp_path):
     assert exited(pids[0])
 
 
-def helper_pool_seen():
-    """This process's pid and whether it may start a helper."""
-    return os.getpid(), recovery._helpers_for(1) != []
+def pids_of_a_map():
+    """The pids that a map of two os.getpid calls made here reads, and this process's helper count."""
+    return recovery._map([(os.getpid, ()), (os.getpid, ())]), len(recovery._helpers)
 
 
 @needs_fork
 def test_a_call_in_a_helper_starts_no_helpers():
     recovery._stop_helpers()
-    seen = recovery._map([(helper_pool_seen, ()), (helper_pool_seen, ())])
-    assert seen == [(os.getpid(), True), (recovery._helpers[0].pid, False)]
+    seen = recovery._map([(pids_of_a_map, ()), (pids_of_a_map, ())])
+    helper = recovery._helpers[0].pid
+    assert seen == [([os.getpid()] * 2, 1), ([helper] * 2, 0)]
     assert len(recovery._helpers) == 1
