@@ -8,16 +8,15 @@ peak search:
   recoveries of the rearranged comb low band (leading-rows mask, effective
   spacing K*delta_f_low = delta_f_high);
 * velocity: per-row FFTs of the comb low band plus per-row CS recoveries of
-  the block high band (periodic rows mask; the low band's full-resolution
-  peak disambiguates the periodic aliases). That lasso has a closed form,
-  computed on one period of M/Q bins and tiled, so the comb range recovery
-  is the only iterative solve.
+  the block high band (periodic rows mask). That lasso has a closed form on
+  the M/Q unambiguous bins, so the comb range recovery is the only
+  iterative solve. The fusion repeats those bins Q times across the comb
+  band's M, whose full-resolution peak resolves the Q-fold aliases.
 
 ``band_spectrum`` is the one pilot-pattern dispatch. The other three schemes
-peak-search each band's spectrum and average the two physical estimates. A
-lone periodic-mask CS spectrum carries exact Q-fold aliases (its period is
-tiled, so this holds bit for bit for every M), so its peak search is
-restricted to the band's unambiguous prefix of M/Q bins.
+peak-search each band's spectrum as it is and average the two physical
+estimates; a block band's CS velocity spectrum holds only its M/Q
+unambiguous bins, so no search can land on an alias.
 """
 
 from __future__ import annotations
@@ -84,21 +83,19 @@ class AveragedEstimate:
     per_band: tuple[Estimate, Estimate]
 
 
-def peak_estimate(spectrum: PowerSpectrum, kind: str, search_bins: int | None = None) -> Estimate:
-    """Normalize, search the (optionally restricted) window, map bin to physical.
+def peak_estimate(spectrum: PowerSpectrum, kind: str) -> Estimate:
+    """Normalize, search every bin, map the first peak bin to physical.
 
     Raises NonFiniteSpectrum unless the spectrum is nonempty and finite, with no
     negative and some positive entry: an all-zero spectrum has no peak to search.
     """
     values = spectrum.values
     check_finite(f"{kind} spectrum", values, NonFiniteSpectrum)
-    if search_bins is not None:
-        check_integer("search_bins", search_bins, 1, InvalidSolverOptions)
     peak = float(values.max())
     if not peak > 0 or values.min() < 0:
         raise NonFiniteSpectrum(f"{kind} spectrum needs no negative and some positive entry")
     norm = PowerSpectrum(values / peak, spectrum.bin_width)
-    b = int(np.argmax(norm.values[:search_bins]))  # [:None] is the whole spectrum
+    b = int(np.argmax(norm.values))
     return Estimate(kind=kind, peak_bin=b, value=b * norm.bin_width, spectrum=norm)
 
 
@@ -171,12 +168,12 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
 
     A*d of a subcarrier row is the M-point FFT (scaled by 1/sqrt(M)) of the
     row zero-stuffed to full width: its pilots at every Q-th entry, in a
-    buffer of a few rows whose other entries stay zero. Only its first
-    period of M/Q bins is kept: lam, the threshold and the sum over rows run
-    on it, and the returned spectrum is that period tiled Q times, so it
-    repeats exactly every M/Q bins for every M. For power-of-two M the FFT
-    is itself bitwise periodic, so the result equals the full-width
-    computation bit for bit.
+    buffer of a few rows whose other entries stay zero. That FFT repeats
+    every M/Q bins, so only its first period is kept: lam, the threshold and
+    the sum over rows run on it, and the spectrum is those M/Q unambiguous
+    bins, velocity bins 0 .. M/Q-1 of the band's M-bin grid at its bin
+    width. For power-of-two M the FFT is bitwise periodic, so the period
+    tiled Q times equals the full-width computation bit for bit.
     """
     require_pilot(d.band, Block, "velocity_spectrum_block_cs")
     n, m, q = d.band.n_subcarriers, d.band.n_symbols, d.band.pilot.interval
@@ -189,7 +186,7 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
         period[:, lo : lo + len(block)] = np.fft.fft(stuffed[: len(block)], axis=1)[:, : m // q].T
     g = period / np.sqrt(m)
     x = soft_threshold(g, lasso_lambda(g, opts.lambda_scale))
-    return PowerSpectrum(np.tile(np.abs(x).sum(axis=1), q), velocity_bin_width(c0, d.band))
+    return PowerSpectrum(np.abs(x).sum(axis=1), velocity_bin_width(c0, d.band))
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +195,19 @@ def velocity_spectrum_block_cs(d: ChannelInfoMatrix, c0: float, opts: SolverOpti
 
 def band_spectrum(
     d: ChannelInfoMatrix, kind: str, c0: float, opts: SolverOptions = SolverOptions()
-) -> tuple[PowerSpectrum, int]:
-    """One band's "range" or "velocity" spectrum by its pilot pattern, and how many
-    leading bins its peak search may cover.
+) -> PowerSpectrum:
+    """One band's "range" or "velocity" spectrum by its pilot pattern.
 
     A comb band gives a CS range spectrum and an FFT velocity spectrum, a
-    block band an IDFT range spectrum and a CS velocity spectrum. A search
-    may cover the whole spectrum, except on a block band's CS velocity
-    spectrum: it repeats every M/Q bins, so its search covers that prefix.
-    Raises InvalidConfig for a kind other than the two.
+    block band an IDFT range spectrum and a CS velocity spectrum of M/Q
+    bins. Raises InvalidConfig for a kind other than the two.
     """
     comb = isinstance(d.band.pilot, Comb)
     if kind == "range":
-        spectrum = range_spectrum_comb_cs(d, c0, opts) if comb else range_spectrum_block(d, c0)
-    elif kind == "velocity" and comb:
-        spectrum = velocity_spectrum_comb(d, c0)
-    elif kind == "velocity":
-        return velocity_spectrum_block_cs(d, c0, opts), d.band.n_symbols // d.band.pilot.interval
-    else:
-        raise InvalidConfig(f"kind {kind!r} must be 'range' or 'velocity'")
-    return spectrum, len(spectrum.values)
+        return range_spectrum_comb_cs(d, c0, opts) if comb else range_spectrum_block(d, c0)
+    if kind == "velocity":
+        return velocity_spectrum_comb(d, c0) if comb else velocity_spectrum_block_cs(d, c0, opts)
+    raise InvalidConfig(f"kind {kind!r} must be 'range' or 'velocity'")
 
 
 def estimate_any_scheme(
@@ -232,8 +222,9 @@ def estimate_any_scheme(
     |IDFT| over the high band's pilot columns plus |CS-IDFT| over all M
     rearranged low-band columns, on the high band's grid of
     c0 / (2 delta_f_high N) meters per bin. Velocity accumulates |FFT| over
-    the low band's pilot rows plus |CS-DFT| over all N high-band rows; the
-    two bands' peak bins coincide because T_low * fc_low = T_high * fc_high.
+    the low band's pilot rows plus |CS-DFT| over all N high-band rows, its
+    M/Q bins repeated Q times (the one place the period is tiled); the two
+    bands' peak bins coincide because T_low * fc_low = T_high * fc_high.
     Each fused spectrum is normalized once, then peak-searched.
 
     CA2..CA4 return two ``AveragedEstimate``s: each band's ``band_spectrum``
@@ -248,11 +239,11 @@ def estimate_any_scheme(
     for kind in ("range", "velocity"):
         spectra = (band_spectrum(d, kind, cfg.c0, opts) for d in (d_low, d_high))
         if cfg.scheme is Scheme.CA1:
-            (low, _), (high, _) = spectra
-            fused = PowerSpectrum(low.values + high.values, high.bin_width)
-            estimates.append(peak_estimate(fused, kind))
+            low, high = spectra
+            fused = low.values + np.resize(high.values, low.values.shape)
+            estimates.append(peak_estimate(PowerSpectrum(fused, high.bin_width), kind))
         else:
-            per_band = tuple(peak_estimate(spectrum, kind, bins) for spectrum, bins in spectra)
+            per_band = tuple(peak_estimate(spectrum, kind) for spectrum in spectra)
             value = 0.5 * (per_band[0].value + per_band[1].value)
             estimates.append(AveragedEstimate(kind, value, per_band))
     return tuple(estimates)

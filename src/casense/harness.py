@@ -191,8 +191,8 @@ def _baseline_errors(spec: ExperimentSpec, streams, snr_idx, noise_sigma, lo, hi
         for cfg, slot, kind, truth in streams:
             seed_parts = (spec.master_seed, slot, snr_idx, trial)
             d = _simulate_band(cfg, 1, spec.target, noise_sigma, seed_parts)
-            spectrum, bins = band_spectrum(d, kind, cfg.c0, spec.solver)
-            errors[-1].append((peak_estimate(spectrum, kind, bins).value - truth) ** 2)
+            estimate = peak_estimate(band_spectrum(d, kind, cfg.c0, spec.solver), kind)
+            errors[-1].append((estimate.value - truth) ** 2)
     return errors
 
 

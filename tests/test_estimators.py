@@ -237,28 +237,48 @@ def test_averaging_schemes_noiseless_quantization_bound(scheme):
 
 def test_single_band_estimates(table3):
     d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=10.0, seed=6)
-    spectrum, bins = band_spectrum(d_high, "range", table3.c0)
-    assert bins == len(spectrum.values) == table3.high.n_subcarriers  # a block band's IDFT
-    assert peak_estimate(spectrum, "range", bins).value == pytest.approx(117.1875, abs=1e-9)
+    spectrum = band_spectrum(d_high, "range", table3.c0)
+    assert len(spectrum.values) == table3.high.n_subcarriers  # a block band's IDFT
+    assert peak_estimate(spectrum, "range").value == pytest.approx(117.1875, abs=1e-9)
     cfg4 = with_scheme(table3, Scheme.CA4)
     d_low4, d_high4 = channel_pair(cfg4, Target(117.0, 30.0), snr_db=10.0, seed=6)
-    spectrum, bins = band_spectrum(d_high4, "velocity", cfg4.c0)
-    assert bins == len(spectrum.values) == cfg4.high.n_symbols  # a comb band's FFT
-    assert peak_estimate(spectrum, "velocity", bins).value == pytest.approx(30.3176, abs=1e-3)
+    spectrum = band_spectrum(d_high4, "velocity", cfg4.c0)
+    assert len(spectrum.values) == cfg4.high.n_symbols  # a comb band's FFT
+    assert peak_estimate(spectrum, "velocity").value == pytest.approx(30.3176, abs=1e-3)
 
 
-def test_block_band_velocity_search_window():
-    # a lone periodic-mask CS spectrum repeats every M/Q bins; the peak
-    # search must stay inside the unambiguous prefix
+def test_block_band_velocity_spectrum_is_its_unambiguous_period():
+    # a lone periodic-mask CS spectrum holds the M/Q bins before its first alias,
+    # so a search over all of them finds the target
     cfg = with_scheme(make_table3_config(), Scheme.CA3)
     target = Target(50.0, 30.0)
     tx = generate_tx_grid(cfg.high, seed=8)
     d = simulate_channel_info(tx, TargetScene((target,), 0.0), c0=C0)
-    spectrum, bins = band_spectrum(d, "velocity", cfg.c0)
-    assert bins == cfg.high.n_symbols // cfg.high.pilot.interval
-    est = peak_estimate(spectrum, "velocity", bins)
-    assert est.peak_bin < bins
+    spectrum = band_spectrum(d, "velocity", cfg.c0)
+    assert len(spectrum.values) == cfg.high.n_symbols // cfg.high.pilot.interval
+    assert spectrum.bin_width == cfg.velocity_bin_width  # the band's M-bin grid
+    est = peak_estimate(spectrum, "velocity")
     assert est.value == pytest.approx(30.3176, abs=1e-3)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CA2, Scheme.CA3])
+def test_block_band_per_band_velocity_spectrum_has_m_over_q_bins(scheme):
+    cfg, (d_low, d_high) = scheme_pair(scheme, Target(117.0, 30.0), snr_db=10.0, seed=7)
+    _, v = estimate_any_scheme(d_low, d_high, cfg)
+    for band, est in zip((cfg.low, cfg.high), v.per_band):
+        block = isinstance(band.pilot, Block)
+        assert len(est.spectrum.values) == band.n_symbols // (band.pilot.interval if block else 1)
+
+
+def test_ca1_fused_velocity_spectrum_is_comb_fft_plus_tiled_period(table3):
+    d_low, d_high = channel_pair(table3, Target(117.0, 30.0), snr_db=10.0, seed=7)
+    _, v = estimate_any_scheme(d_low, d_high, table3)
+    comb = estimators.velocity_spectrum_comb(d_low, table3.c0).values
+    period = velocity_spectrum_block_cs(d_high, table3.c0, SolverOptions()).values
+    q = table3.high.pilot.interval
+    assert len(period) == table3.high.n_symbols // q
+    fused = comb + np.tile(period, q)
+    assert v.spectrum.values.tobytes() == (fused / fused.max()).tobytes()
 
 
 def test_top_k_peaks_delta():
@@ -411,8 +431,6 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
         (lambda op: peak_estimate(PowerSpectrum(np.array([0.5, -0.1, 1.0]), 1.0), "range"),
          NonFiniteSpectrum),
         (lambda op: top_k_peaks(PowerSpectrum(np.array([]), 1.0), 1), NonFiniteSpectrum),
-        (lambda op: peak_estimate(PowerSpectrum(np.array([0.1, 0.2]), 1.0), "range", search_bins=0),
-         InvalidSolverOptions),
         (lambda op: snapshot_spectra(make_table3_config(), Target(117.0, 30.0), 10.0, seed=-1),
          InvalidConfig),
         (lambda op: snapshot_spectra(make_table3_config(), Target(117.0, 30.0), 10.0, seed=1.5),
@@ -424,7 +442,7 @@ def test_non_finite_solver_and_bound_inputs_are_rejected_where_built(build, erro
          "omp-sparsity", "sigma-for-snr-zero-gain", "operator-n-float", "operator-n-bool",
          "omp-sparsity-2.5", "top-k-peaks-k-2.5", "top-k-peaks-guard-0.5", "band-spectrum-kind",
          "peak-estimate-empty", "peak-estimate-all-zero", "peak-estimate-negative-entry",
-         "top-k-peaks-empty", "peak-estimate-search-bins-0",
+         "top-k-peaks-empty",
          "snapshot-seed-negative", "snapshot-seed-1.5", "crlb-sweep-spacing-x"],
 )
 def test_bad_arguments_raise_a_casense_error_that_is_a_value_error(build, error):
@@ -461,9 +479,10 @@ def _fista_reference(op, cols, lambda_scale):
 )
 def test_closed_form_velocity_spectrum_is_fista_bit_for_bit(mq, rows, lambda_scale, seed):
     # the unitary scale 1/sqrt(M) is a power of two, so scaling before or after the FFT agrees
-    d, op, cols = _velocity_problem(*mq, rows, seed)
-    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
-    assert np.array_equal(spectrum.values, _fista_reference(op, cols, lambda_scale))
+    m, q = mq
+    d, op, cols = _velocity_problem(m, q, rows, seed)
+    period = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
+    assert np.array_equal(np.tile(period, q), _fista_reference(op, cols, lambda_scale))
 
 
 @given(
@@ -475,10 +494,12 @@ def test_closed_form_velocity_spectrum_is_fista_bit_for_bit(mq, rows, lambda_sca
 def test_closed_form_velocity_spectrum_matches_fista_to_rounding(mq, rows, lambda_scale, seed):
     # FISTA scales by 1/sqrt(M) before its FFT and the adjoint after it: last-bit differences,
     # measured against the unthresholded (lambda = 0) spectrum
-    d, op, cols = _velocity_problem(*mq, rows, seed)
-    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
+    m, q = mq
+    d, op, cols = _velocity_problem(m, q, rows, seed)
+    period = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
     scale = np.abs(op.adjoint(cols)).sum(axis=1).max()
-    assert np.abs(spectrum.values - _fista_reference(op, cols, lambda_scale)).max() <= 1e-11 * scale
+    error = np.abs(np.tile(period, q) - _fista_reference(op, cols, lambda_scale)).max()
+    assert error <= 1e-11 * scale
 
 
 @given(
@@ -492,8 +513,9 @@ def test_closed_form_velocity_spectrum_is_q_periodic_full_width_formula(mq, rows
     # only to rounding, so the tiled first period differs from the full width in last bits
     m, q = mq
     d, op, cols = _velocity_problem(m, q, rows, seed)
-    spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
-    assert np.array_equal(spectrum, np.tile(spectrum[: m // q], q))
+    period = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
+    assert len(period) == m // q
+    spectrum = np.tile(period, q)
     g = op.adjoint(cols)
     full_width = np.abs(soft_threshold(g, lambda_scale * np.abs(g).max(axis=0))).sum(axis=1)
     if m & (m - 1) == 0:
@@ -510,15 +532,14 @@ def test_closed_form_velocity_spectrum_is_q_periodic_full_width_formula(mq, rows
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_velocity_solution_certifies_kkt_per_row(mq, rows, lambda_scale, seed):
-    # the spectrum sums the periodic solution built from the first period of A*d
+    # the spectrum sums the first period of the periodic solution built from A*d's
     m, q = mq
     d, op, cols = _velocity_problem(m, q, rows, seed)
     g = op.adjoint(cols)[: m // q]
     lam = lambda_scale * np.abs(g).max(axis=0)
     x = soft_threshold(g, lam)
     spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale)).values
-    assert np.array_equal(spectrum[: m // q], np.abs(x).sum(axis=1))
-    assert np.array_equal(spectrum, np.tile(spectrum[: m // q], q))
+    assert np.array_equal(spectrum, np.abs(x).sum(axis=1))
     x = np.tile(x, (q, 1))
     for j in range(rows):
         assert certify_kkt(LassoProblem(op, cols[:, j], lam[j]), x[:, j]) <= 1e-12 * lam[j]
@@ -534,7 +555,7 @@ def test_block_velocity_spectrum_is_the_full_grid_fft_across_row_buffers(m, q, r
     period = np.fft.fft(full_grid(d.band, d.pilots), axis=1)[:, : m // q]
     g = np.ascontiguousarray(period.T) / np.sqrt(m)
     x = soft_threshold(g, lasso_lambda(g, lambda_scale))
-    expected = np.tile(np.abs(x).sum(axis=1), q)
+    expected = np.abs(x).sum(axis=1)
     spectrum = velocity_spectrum_block_cs(d, C0, SolverOptions(lambda_scale=lambda_scale))
     assert spectrum.values.tobytes() == expected.tobytes()
 
@@ -554,7 +575,7 @@ def test_block_band_cs_velocity_spectrum_thresholded_to_zero_raises(scheme):
     cfg = with_scheme(make_table3_config(), scheme)
     d_low, d_high = channel_pair(cfg, Target(117.0, 30.0), snr_db=10.0)
     block = d_low if isinstance(cfg.low.pilot, Block) else d_high
-    spectrum, bins = band_spectrum(block, "velocity", C0, SolverOptions(lambda_scale=1.0))
+    spectrum = band_spectrum(block, "velocity", C0, SolverOptions(lambda_scale=1.0))
     assert not spectrum.values.any()
     with pytest.raises(NonFiniteSpectrum):
-        peak_estimate(spectrum, "velocity", bins)
+        peak_estimate(spectrum, "velocity")
