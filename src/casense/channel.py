@@ -107,6 +107,8 @@ def simulate_channel_info(tx: TxGrid, scene: TargetScene, c0: float) -> ChannelI
     N x M grid in row-major order, so a pilot's noise does not depend on the pattern.
     Warns VelocityAmbiguityWarning for a |v| past the band's unambiguous Doppler span.
     """
+    check_kind("tx", tx, TxGrid, InvalidConfig)
+    check_kind("scene", scene, TargetScene, InvalidConfig)
     if not scene.targets:
         raise EmptyScene("estimation needs at least one target")
     check_real("c0", c0, InvalidConfig, "positive")

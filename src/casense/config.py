@@ -226,6 +226,8 @@ def with_scheme(cfg: CaConfig, scheme: Scheme) -> CaConfig:
     (falling back to the spacing ratio) and the block's (falling back to
     the comb interval).
     """
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)
+    check_kind("scheme", scheme, Scheme, InvalidConfig)
     pilots = (cfg.low.pilot, cfg.high.pilot)
     k = next((p.interval for p in pilots if isinstance(p, Comb)), cfg.k_ratio)
     q = next((p.interval for p in pilots if isinstance(p, Block)), k)
@@ -328,6 +330,7 @@ def config_from_dict(d) -> CaConfig:
 
 
 def save_config(cfg: CaConfig, path) -> None:
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)
     with open(path, "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")

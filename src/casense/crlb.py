@@ -246,6 +246,7 @@ def crlb_sweep(
     bound falls and the velocity bound rises with delta_f at fixed SNR; both
     fall with SNR at fixed delta_f.
     """
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)
     snr_db_grid = list(snr_db_grid)
     if not snr_db_grid:
         raise InvalidConfig("snr grid must be nonempty")

@@ -29,7 +29,7 @@ from .channel import ChannelInfoMatrix
 from .config import Block, CaConfig, Comb, Scheme, range_bin_width, velocity_bin_width
 from .errors import (
     InvalidConfig, InvalidSolverOptions, NonFiniteSpectrum, SchemeMismatch, check_finite,
-    check_integer,
+    check_integer, check_kind,
 )
 from .fusion import build_range_selection, rearrange_low_band
 from .grids import require_pilot
@@ -200,8 +200,11 @@ def band_spectrum(
 
     A comb band gives a CS range spectrum and an FFT velocity spectrum, a
     block band an IDFT range spectrum and a CS velocity spectrum of M/Q
-    bins. Raises InvalidConfig for a kind other than the two.
+    bins. Raises InvalidConfig for a kind other than the two, or a d or
+    opts of another type.
     """
+    check_kind("d", d, ChannelInfoMatrix, InvalidConfig)
+    check_kind("opts", opts, SolverOptions, InvalidConfig)
     comb = isinstance(d.band.pilot, Comb)
     if kind == "range":
         return range_spectrum_comb_cs(d, c0, opts) if comb else range_spectrum_block(d, c0)
@@ -231,8 +234,12 @@ def estimate_any_scheme(
     is peak-searched over its own bins, and the two estimates are averaged in
     physical units because the bands' bin widths differ.
 
-    Raises SchemeMismatch if the matrices do not come from cfg's bands.
+    Raises InvalidConfig for an argument of another type, SchemeMismatch if
+    the matrices do not come from cfg's bands.
     """
+    check_kind("d_low", d_low, ChannelInfoMatrix, InvalidConfig)
+    check_kind("d_high", d_high, ChannelInfoMatrix, InvalidConfig)
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)  # band_spectrum checks opts
     if d_low.band != cfg.low or d_high.band != cfg.high:
         raise SchemeMismatch("channel matrices do not come from the configured bands")
     estimates = []

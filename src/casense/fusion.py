@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelInfoMatrix
 from .config import Comb
-from .errors import InvalidConfig, check_integer
+from .errors import InvalidConfig, check_integer, check_kind
 from .grids import require_pilot
 
 
@@ -28,6 +28,7 @@ def rearrange_low_band(d: ChannelInfoMatrix) -> np.ndarray:
     comb band's pilot block itself, so its values are the simulated ones bit
     for bit.
     """
+    check_kind("d", d, ChannelInfoMatrix, InvalidConfig)
     require_pilot(d.band, Comb, "rearrange_low_band")
     return d.pilots
 

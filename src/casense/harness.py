@@ -19,7 +19,7 @@ from . import recovery
 from .channel import ChannelInfoMatrix, Target, TargetScene, sigma_for_snr, simulate_channel_info
 from .config import CaConfig, Scheme, with_scheme
 from .crlb import crlb_report_for_snr
-from .errors import InvalidConfig, check_integer, check_kind
+from .errors import InvalidConfig, check_integer, check_kind, check_seed
 from .estimators import (
     AveragedEstimate,
     Estimate,
@@ -85,9 +85,11 @@ def _trial_seed(master_seed: int, scheme_idx: int, snr_idx: int, trial: int, str
     return np.random.SeedSequence([master_seed, scheme_idx, snr_idx, trial, stream])
 
 
-def _draw_target(spec: ExperimentSpec, rng: np.random.Generator) -> Target:
+def _draw_target(spec: ExperimentSpec, scheme_idx: int, snr_idx: int, trial: int) -> Target:
+    """spec's target, or with random_targets one drawn on the trial's stream 0."""
     if not spec.random_targets:
         return spec.target
+    rng = np.random.default_rng(_trial_seed(spec.master_seed, scheme_idx, snr_idx, trial, 0))
     cfg = spec.cfg
     r_max = cfg.c0 / (2.0 * cfg.high.delta_f)
     v_max = cfg.c0 / (4.0 * cfg.high.fc * cfg.high.symbol_duration)
@@ -115,7 +117,12 @@ def simulate_trial_matrices(
     noise_sigma: float,
     seed_parts: tuple[int, int, int, int],
 ) -> tuple[ChannelInfoMatrix, ChannelInfoMatrix]:
-    """Both bands' channel matrices for one trial, with independent streams."""
+    """Both bands' channel matrices for one trial, with independent streams; InvalidConfig
+    for a cfg, target or seed_parts (a tuple of integers >= 0) of another kind."""
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)
+    check_kind("target", target, Target, InvalidConfig)
+    check_kind("seed_parts", seed_parts, tuple, InvalidConfig)
+    check_seed("seed_parts", seed_parts, InvalidConfig)
     return tuple(_simulate_band(cfg, i, target, noise_sigma, seed_parts) for i in (0, 1))
 
 
@@ -146,8 +153,7 @@ def _trial_errors(spec: ExperimentSpec, cfg: CaConfig, scheme_idx, snr_idx, nois
     """Squared (range, velocity) errors of trials lo..hi-1 of one (scheme, SNR) point, in order."""
     errors = []
     for trial in range(lo, hi):
-        rng = np.random.default_rng(_trial_seed(spec.master_seed, scheme_idx, snr_idx, trial, 0))
-        target = _draw_target(spec, rng)
+        target = _draw_target(spec, scheme_idx, snr_idx, trial)
         d_low, d_high = simulate_trial_matrices(
             cfg, target, noise_sigma, (spec.master_seed, scheme_idx, snr_idx, trial)
         )
@@ -158,6 +164,7 @@ def _trial_errors(spec: ExperimentSpec, cfg: CaConfig, scheme_idx, snr_idx, nois
 
 def run_sweep(spec: ExperimentSpec) -> tuple[SweepRow, ...]:
     """RMSE over (scheme, SNR), one row per pair, with oracle RCRLBs alongside."""
+    check_kind("spec", spec, ExperimentSpec, InvalidConfig)
     rows = []
     for scheme_idx, scheme in enumerate(spec.schemes):
         cfg = spec.cfg if spec.cfg.scheme is scheme else with_scheme(spec.cfg, scheme)
@@ -200,6 +207,7 @@ def run_high_band_baseline(spec: ExperimentSpec) -> list[dict]:
     """Single-band references on spec's fixed target, spec.schemes unused: block
     high band for range, comb high band for velocity (each is the high-band
     half of the matching pipeline). Its points run as a sweep's do."""
+    check_kind("spec", spec, ExperimentSpec, InvalidConfig)
     if spec.random_targets:
         raise InvalidConfig("the high-band baseline needs a fixed target, not random_targets")
     streams = (
@@ -233,6 +241,7 @@ def snapshot_spectra(
     Any scheme: CA1's estimates carry the fused normalized spectra (CSV rows
     via ``spectrum_rows``), the other schemes' one spectrum per band.
     """
+    check_kind("target", target, Target, InvalidConfig)  # simulate_trial_matrices checks cfg
     check_integer("seed", seed, 0, InvalidConfig)
     noise_sigma = sigma_for_snr(snr_db, target.gain)
     d_low, d_high = simulate_trial_matrices(cfg, target, noise_sigma, (seed, 0, 0, 0))

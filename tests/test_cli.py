@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import casense.cli
 import casense.estimators
 import casense.fusion
 import casense
 import casense.harness
 from casense.channel import Target, sigma_for_snr
 from casense.cli import MAX_SNR_POINTS, _parse_snr, main
-from casense.config import config_to_dict, make_table3_config, save_config
+from casense.config import config_to_dict, load_config, make_table3_config, save_config
 from casense.errors import InvalidSnrGrid
 from casense.estimators import estimate_any_scheme
 from casense.grids import CSV_FLOAT_FMT, full_grid, pilot_mask
@@ -415,6 +417,52 @@ def test_compare_pilots_subcommand(tmp_path):
     assert rc == 0
     rows = read_csv(out)
     assert sorted({r[0] for r in rows[1:]}) == ["CA1", "CA2", "CA3", "CA4"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    """The bodies of README's fenced code blocks in lang."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def readme_commands():
+    """README's `casense` command lines, each as the argument list after `casense`."""
+    lines = (line for block in readme_blocks("sh") for line in block.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("casense ")]
+
+
+def test_readme_config_block_loads_as_table3(tmp_path):
+    (block,) = readme_blocks("json")
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    assert load_config(path) == make_table3_config()
+    assert json.loads(block) == config_to_dict(make_table3_config())  # save_config's values
+
+
+def test_readme_command_lines_parse(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(casense.cli, "_run", parsed.append)
+    for argv in readme_commands():
+        assert main(argv) == 0
+    commands = [args.command for args in parsed]
+    assert commands == ["estimate", "simulate", "crlb", "sweep", "compare-pilots"]
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [("estimate", ["shot_range.csv", "shot_velocity.csv"]),
+     ("simulate", ["chan_high.csv", "chan_low.csv"]),
+     ("crlb", ["crlb.csv"])],
+)
+def test_readme_single_shot_command_lines_run(tmp_path, command, files):
+    # sweep and compare-pilots run for minutes; CI runs README's lines of them as written
+    (argv,) = [argv for argv in readme_commands() if argv[0] == command]
+    out = argv.index("--out") + 1
+    argv[out] = str(tmp_path / Path(argv[out]).name)
+    assert main(argv) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
 
 
 def test_config_file_and_scheme_flag(tmp_path):

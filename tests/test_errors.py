@@ -9,6 +9,7 @@ Python's TypeError, AttributeError or ValueError.
 
 import math
 import numbers
+import os
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 
 from casense import (
     BandConfig, CaConfig, ChannelInfoMatrix, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme,
-    SensingOperator, SolverOptions, Target, TargetScene, TxGrid, build_range_selection, certify_kkt,
-    crlb_sweep, default_lambda, generate_tx_grid, make_table3_config, sigma_for_snr,
-    simulate_channel_info,
+    SensingOperator, SolverOptions, Target, TargetScene, TxGrid, band_spectrum,
+    build_range_selection, certify_kkt, crlb_sweep, default_lambda, estimate_any_scheme,
+    generate_tx_grid, make_table3_config, rearrange_low_band, run_high_band_baseline, run_sweep,
+    save_config, sigma_for_snr, simulate_channel_info, snapshot_spectra, with_scheme,
 )
 from casense import errors
+from casense.harness import simulate_trial_matrices
 from casense.recovery import fista_iterations
 from casense.errors import (
     CasenseError, DimensionMismatch, InvalidConfig, InvalidNoiseLevel, InvalidSolverOptions,
@@ -163,6 +166,28 @@ CASES = {
     "default_lambda(op, 2.0)": (lambda: default_lambda(OPERATOR, 2.0), DimensionMismatch),
     **{f"build_range_selection({rows!r}, {n!r})": (lambda rows=rows, n=n: build_range_selection(
         rows, n), InvalidConfig) for rows, n in ((16.5, 64), (16, 64.0), (True, 64))},
+    # a record argument of a public function is checked before it is read
+    "simulate_channel_info(None, scene, c0)": (lambda: simulate_channel_info(
+        None, RECORDS["TargetScene"](), CFG.c0), InvalidConfig),
+    "simulate_channel_info(tx, None, c0)": (lambda: simulate_channel_info(
+        generate_tx_grid(CFG.high, 0), None, CFG.c0), InvalidConfig),
+    'band_spectrum(None, "range", c0, opts)': (lambda: band_spectrum(
+        None, "range", CFG.c0, SolverOptions()), InvalidConfig),
+    'band_spectrum(d, "range", c0, None)': (lambda: band_spectrum(
+        ChannelInfoMatrix(np.ones((128, 64), complex), CFG.low), "range", CFG.c0, None), InvalidConfig),
+    "rearrange_low_band(None)": (lambda: rearrange_low_band(None), InvalidConfig),
+    "estimate_any_scheme(None, None, None)": (lambda: estimate_any_scheme(None, None, None),
+                                              InvalidConfig),
+    "snapshot_spectra(None, target, 10.0)": (lambda: snapshot_spectra(
+        None, Target(117.0, 30.0), 10.0), InvalidConfig),
+    "snapshot_spectra(cfg, None, 10.0)": (lambda: snapshot_spectra(CFG, None, 10.0), InvalidConfig),
+    "run_sweep(None)": (lambda: run_sweep(None), InvalidConfig),
+    "run_high_band_baseline(None)": (lambda: run_high_band_baseline(None), InvalidConfig),
+    "crlb_sweep(None, [0.0])": (lambda: crlb_sweep(None, [0.0]), InvalidConfig),
+    "with_scheme(None, CA1)": (lambda: with_scheme(None, Scheme.CA1), InvalidConfig),
+    "save_config(None, path)": (lambda: save_config(None, os.devnull), InvalidConfig),
+    "simulate_trial_matrices(seed_parts=(-1, 0, 0, 0))": (lambda: simulate_trial_matrices(
+        CFG, Target(117.0, 30.0), 0.0, (-1, 0, 0, 0)), InvalidConfig),
 }
 
 
