@@ -11,6 +11,7 @@ range and velocity spectra bin-exact.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -136,8 +137,12 @@ class CaConfig:
     VelocityFusionConstraintViolated
         If T_low * fc_low != T_high * fc_high (reports the residual).
     SchemeMismatch
-        If band pilot patterns do not match the declared scheme, or a comb
-        interval in scheme CA1/CA2 differs from the spacing ratio.
+        If band pilot patterns do not match the declared scheme, a comb
+        interval in scheme CA1/CA2 differs from the spacing ratio, or the
+        bands of scheme CA1, whose spectra are fused bin by bin, differ in N
+        or M. So ``with_scheme(cfg, Scheme.CA1)`` raises for such a cfg, and
+        so do ``run_high_band_baseline`` and ``compare-pilots``, which build
+        CA1 from it.
     """
 
     low: BandConfig
@@ -176,6 +181,9 @@ class CaConfig:
                         f"comb interval {band.pilot.interval} must equal the spacing "
                         f"ratio {k} in scheme {self.scheme.value}"
                     )
+        shapes = [(b.n_subcarriers, b.n_symbols) for b in (self.low, self.high)]
+        if self.scheme is Scheme.CA1 and shapes[0] != shapes[1]:
+            raise SchemeMismatch(f"scheme CA1 needs one (N, M) in both bands; got {shapes}")
 
     @property
     def k_ratio(self) -> int:
@@ -243,6 +251,8 @@ def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
     The high-band CP is kept; the low-band CP is re-derived from the velocity
     fusion constraint. Used by CRLB sweeps over subcarrier spacing.
     """
+    check_kind("cfg", cfg, CaConfig, InvalidConfig)
+    check_real("delta_f_high", delta_f_high, InvalidConfig, "positive")
     high = replace(cfg.high, delta_f=float(delta_f_high))
     df1 = high.delta_f / cfg.k_ratio
     low = replace(cfg.low, delta_f=df1, t_cp=_low_band_cp(cfg.low.fc, df1, high))
@@ -253,6 +263,7 @@ def with_high_band_spacing(cfg: CaConfig, delta_f_high: float) -> CaConfig:
 # config file round-trip (JSON, plain decimals, Hz and seconds)
 # ---------------------------------------------------------------------------
 
+_PATH = str | bytes | os.PathLike  # what a config path may be; open() would also take an fd
 _BAND_KEYS = tuple(f.name for f in fields(BandConfig))  # the JSON key order
 _PILOT_KINDS = {cls.__name__.lower(): cls for cls in (Comb, Block)}
 
@@ -331,12 +342,14 @@ def config_from_dict(d) -> CaConfig:
 
 def save_config(cfg: CaConfig, path) -> None:
     check_kind("cfg", cfg, CaConfig, InvalidConfig)
+    check_kind("path", path, _PATH, InvalidConfig)
     with open(path, "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")
 
 
 def load_config(path) -> CaConfig:
+    check_kind("path", path, _PATH, InvalidConfig)
     try:
         with open(path) as fh:
             doc = json.load(fh)

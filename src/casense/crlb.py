@@ -20,6 +20,7 @@ the total complex standard deviation, so sigma = noise_sigma / sqrt(2).
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,7 @@ def crlb_closed_form(inputs: CrlbInputs) -> CrlbReport:
     the closed forms agree with ``fisher_oracle`` to machine precision.
     Numbers that matter should come from ``crlb_oracle`` for that one case.
     """
+    check_kind("inputs", inputs, CrlbInputs, InvalidConfig)
     cfg = inputs.cfg
     c0, h, sigma = cfg.c0, inputs.h, inputs.sigma
     n = cfg.high.n_subcarriers
@@ -247,17 +249,21 @@ def crlb_sweep(
     fall with SNR at fixed delta_f.
     """
     check_kind("cfg", cfg, CaConfig, InvalidConfig)
+    check_kind("snr grid", snr_db_grid, Iterable, InvalidConfig)
     snr_db_grid = list(snr_db_grid)
     if not snr_db_grid:
         raise InvalidConfig("snr grid must be nonempty")
     for snr_db in snr_db_grid:
         check_kind("snr grid entry", snr_db, numbers.Real, InvalidConfig)
-    spacings = [cfg.high.delta_f] if delta_f_high_grid is None else list(delta_f_high_grid)
+    spacings = [cfg.high.delta_f] if delta_f_high_grid is None else delta_f_high_grid
+    check_kind("delta_f grid", spacings, Iterable, InvalidConfig)
+    spacings = list(spacings)
     if not spacings:
         raise InvalidConfig("delta_f grid must be nonempty")
+    for df2 in spacings:  # every spacing before any row
+        check_real("delta_f", df2, InvalidConfig, "positive")
     rows = []
     for df2 in spacings:
-        check_real("delta_f", df2, InvalidConfig, "positive")
         scaled = cfg if df2 == cfg.high.delta_f else with_high_band_spacing(cfg, df2)
         for snr_db in snr_db_grid:
             report = crlb_report_for_snr(scaled, snr_db, method=method)

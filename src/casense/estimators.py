@@ -101,6 +101,7 @@ def peak_estimate(spectrum: PowerSpectrum, kind: str) -> Estimate:
 
 def top_k_peaks(spectrum: PowerSpectrum, k: int, guard: int = 0) -> list[tuple[int, float]]:
     """Greedy maxima with +-guard exclusion zones, descending by value."""
+    check_kind("spectrum", spectrum, PowerSpectrum, InvalidConfig)
     check_integer("k", k, 1, InvalidSolverOptions)
     check_integer("guard", guard, 0, InvalidSolverOptions)
     check_finite("spectrum", spectrum.values, NonFiniteSpectrum)

@@ -79,6 +79,7 @@ def require_pilot(band: BandConfig, kind: type, caller: str) -> None:
 
 def pilot_mask(band: BandConfig) -> np.ndarray:
     """Boolean (N, M) mask of pilot resource elements."""
+    check_kind("band", band, BandConfig, InvalidConfig)
     mask = np.zeros((band.n_subcarriers, band.n_symbols), dtype=bool)
     mask[pilot_slices(band)] = True
     return mask

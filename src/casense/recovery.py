@@ -134,6 +134,7 @@ def default_lambda(op: SensingOperator, d: np.ndarray, scale: float = 0.1):
 
     A float for a 1-D d; for a 2-D d, an array holding one value per column.
     """
+    check_kind("op", op, SensingOperator, InvalidConfig)
     check_real("scale", scale, InvalidSolverOptions, "nonnegative")
     d = np.asarray(d, dtype=complex)
     check_finite("observations", d, InvalidConfig)
@@ -474,11 +475,13 @@ def solve_fista(p: LassoProblem) -> RecoveryResult:
     Non-convergence is not an error: the result carries the iteration count
     and KKT residual for the caller to judge.
     """
+    check_kind("p", p, LassoProblem, InvalidConfig)
     return _result(p, *fista_iterations(p.operator, p.observations, p.lam, p.max_iters, p.tol))
 
 
 def solve_ista(p: LassoProblem) -> RecoveryResult:
     """Plain proximal gradient (no momentum); baseline for FISTA."""
+    check_kind("p", p, LassoProblem, InvalidConfig)
     x, k = fista_iterations(p.operator, p.observations, p.lam, p.max_iters, p.tol, momentum=False)
     return _result(p, x, k)
 
@@ -486,6 +489,7 @@ def solve_ista(p: LassoProblem) -> RecoveryResult:
 def solve_omp(p: LassoProblem, sparsity: int) -> RecoveryResult:
     """Orthogonal matching pursuit: greedy max-correlation atom selection
     with a least-squares refit on the selected support each iteration."""
+    check_kind("p", p, LassoProblem, InvalidConfig)
     check_integer("sparsity", sparsity, 1, InvalidSolverOptions)
     d = p.observations
     residual = d.copy()
@@ -522,4 +526,6 @@ def _result(p: LassoProblem, x: np.ndarray, iterations: int) -> RecoveryResult:
 
 def certify_kkt(p: LassoProblem, x_hat: np.ndarray) -> float:
     """Lasso optimality certificate of x_hat, zero iff it is optimal (see _result)."""
+    check_kind("p", p, LassoProblem, InvalidConfig)
+    check_finite("x_hat", np.asarray(x_hat, dtype=complex), InvalidConfig)
     return _result(p, x_hat, 0).kkt_residual

@@ -33,6 +33,8 @@ from casense.errors import (
     SchemeMismatch,
     VelocityFusionConstraintViolated,
 )
+from casense.channel import Target
+from casense.harness import ExperimentSpec, run_high_band_baseline
 from conftest import lattice_config
 
 
@@ -127,6 +129,11 @@ BROKEN_INVARIANTS = {
                 "scheme CA1 expects low=Comb, high=Block; got low=Block, high=Block"),
     "comb-interval": (("low", "pilot"), {"kind": "comb", "interval": 2}, SchemeMismatch,
                       "comb interval 2 must equal the spacing ratio 4 in scheme CA1"),
+    # CA1 fuses the two bands' spectra bin by bin, so both need one N and one M
+    "N": (("low", "n_subcarriers"), 256, SchemeMismatch,
+          "scheme CA1 needs one (N, M) in both bands; got [(256, 64), (512, 64)]"),
+    "M": (("high", "n_symbols"), 32, SchemeMismatch,
+          "scheme CA1 needs one (N, M) in both bands; got [(512, 64), (512, 32)]"),
 }
 
 
@@ -148,6 +155,18 @@ def test_each_aggregation_invariant_raises_when_built(case):
     with pytest.raises(error) as built:
         CaConfig(low=low, high=high, scheme=Scheme.CA1, c0=3e8)
     assert str(built.value) == str(from_dict.value)
+
+
+def test_ca1_of_bands_of_unequal_shape_raises_where_it_is_built():
+    # another scheme takes such bands, but with_scheme and the high-band baseline,
+    # which builds CA1 from the spec's config, raise
+    table3 = make_table3_config(Scheme.CA3)
+    cfg = replace(table3, low=replace(table3.low, n_subcarriers=256))
+    with pytest.raises(SchemeMismatch):
+        with_scheme(cfg, Scheme.CA1)
+    spec = ExperimentSpec(cfg, (Scheme.CA3,), Target(117.0, 30.0), (10.0,), trials=1)
+    with pytest.raises(SchemeMismatch):
+        run_high_band_baseline(spec)
 
 
 def test_k_ratio_exact():

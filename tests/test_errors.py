@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from casense import (
     BandConfig, CaConfig, ChannelInfoMatrix, Comb, CrlbInputs, ExperimentSpec, LassoProblem, Scheme,
     SensingOperator, SolverOptions, Target, TargetScene, TxGrid, band_spectrum,
-    build_range_selection, certify_kkt, crlb_sweep, default_lambda, estimate_any_scheme,
-    generate_tx_grid, make_table3_config, rearrange_low_band, run_high_band_baseline, run_sweep,
-    save_config, sigma_for_snr, simulate_channel_info, snapshot_spectra, with_scheme,
+    build_range_selection, certify_kkt, crlb_closed_form, crlb_sweep, default_lambda,
+    estimate_any_scheme, generate_tx_grid, load_config, make_table3_config, pilot_mask,
+    rearrange_low_band, run_high_band_baseline, run_sweep, save_config, sigma_for_snr,
+    simulate_channel_info, snapshot_spectra, solve_fista, solve_ista, solve_omp, top_k_peaks,
+    with_high_band_spacing, with_scheme,
 )
 from casense import errors
 from casense.harness import simulate_trial_matrices
@@ -188,6 +190,23 @@ CASES = {
     "save_config(None, path)": (lambda: save_config(None, os.devnull), InvalidConfig),
     "simulate_trial_matrices(seed_parts=(-1, 0, 0, 0))": (lambda: simulate_trial_matrices(
         CFG, Target(117.0, 30.0), 0.0, (-1, 0, 0, 0)), InvalidConfig),
+    # entry points no workload calls per op: demos, the CLI's crlb, simulate and --config
+    "top_k_peaks(None, 1)": (lambda: top_k_peaks(None, 1), InvalidConfig),
+    "solve_fista(None)": (lambda: solve_fista(None), InvalidConfig),
+    "solve_ista(None)": (lambda: solve_ista(None), InvalidConfig),
+    "solve_omp(None, 1)": (lambda: solve_omp(None, 1), InvalidConfig),
+    "certify_kkt(None, x)": (lambda: certify_kkt(None, np.zeros(8, complex)), InvalidConfig),
+    "certify_kkt(p, nan)": (lambda: certify_kkt(RECORDS["LassoProblem"](), np.full(8, np.nan)),
+                            InvalidConfig),
+    "default_lambda(None, d)": (lambda: default_lambda(None, np.ones(8)), InvalidConfig),
+    "pilot_mask(None)": (lambda: pilot_mask(None), InvalidConfig),
+    "with_high_band_spacing(None, 1e5)": (lambda: with_high_band_spacing(None, 1e5), InvalidConfig),
+    "with_high_band_spacing(cfg, None)": (lambda: with_high_band_spacing(CFG, None), InvalidConfig),
+    "crlb_closed_form(None)": (lambda: crlb_closed_form(None), InvalidConfig),
+    "crlb_sweep(cfg, None)": (lambda: crlb_sweep(CFG, None), InvalidConfig),
+    "crlb_sweep(cfg, [0.0], 5.0)": (lambda: crlb_sweep(CFG, [0.0], 5.0), InvalidConfig),
+    "load_config(None)": (lambda: load_config(None), InvalidConfig),
+    "save_config(cfg, None)": (lambda: save_config(CFG, None), InvalidConfig),
 }
 
 
